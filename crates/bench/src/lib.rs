@@ -2,15 +2,20 @@
 
 //! # mlcc-bench — the reproduction harness
 //!
-//! One binary per figure of the paper's evaluation (`fig02` … `fig16`),
-//! built on reusable scenario modules, plus Criterion benches of the
-//! simulator engine. Every binary prints a CSV series and a summary of
-//! the paper-shape checks (who wins, by roughly what factor).
+//! Every figure of the paper's evaluation (Figs. 2–16) and every
+//! extension study is a function in [`figures`], built on the reusable
+//! scenario modules in [`scenarios`]. Each prints a CSV series or table
+//! and a summary of the paper-shape checks (who wins, by roughly what
+//! factor), and panics if a check fails.
 //!
-//! Run e.g. `cargo run --release -p mlcc-bench --bin fig11` and see
-//! `EXPERIMENTS.md` at the repository root for paper-vs-measured notes.
+//! Run e.g. `cargo run --release -p mlcc-bench --bin repro -- fig11`; with
+//! no name, `repro` runs every figure. `results/` holds the golden report
+//! of each, and `EXPERIMENTS.md` at the repository root has
+//! paper-vs-measured notes. `engine_perf` times the engine and `fuzz_sim`
+//! fuzzes it.
 
 pub mod algo;
+pub mod figures;
 pub mod scenarios;
 
 pub use algo::Algo;
