@@ -66,6 +66,17 @@ struct IncastResult {
     pfc: u64,
 }
 
+/// One incast run. The DCQCN and HPCC rows come out identical because
+/// neither algorithm ever acts here: every flow has sent its last byte
+/// before its first feedback arrives. A 1 MB response serializes in
+/// 320 µs at 25 Gbps, while its first CNP or INT-bearing ACK needs the
+/// ≥ 6 ms long-haul round trip (the closest call leaves a 5.7 ms gap).
+/// An 8 KB victim fits in its first line-rate burst. Both baselines
+/// start at line rate (HPCC with a one-BDP window, which neither flow
+/// size exceeds), so they send exactly what a sender without CC does:
+/// DCQCN, HPCC and `NoCcFactory` give the same FCTs, 688 PFC pauses and
+/// 236,202 ECN marks. MLCC differs because its per-flow queues at the
+/// receiver-side DCI switch pace the burst without the long-haul loop.
 fn run_incast(algo: Algo) -> IncastResult {
     let topo = TwoDcTopology::build(TwoDcParams {
         servers_per_leaf: 4,

@@ -11,8 +11,8 @@
 //! Run e.g. `cargo run --release -p mlcc-bench --bin repro -- fig11`; with
 //! no name, `repro` runs every figure. `results/` holds the golden report
 //! of each, and `EXPERIMENTS.md` at the repository root has
-//! paper-vs-measured notes. `engine_perf` times the engine and `fuzz_sim`
-//! fuzzes it.
+//! paper-vs-measured notes. `fuzz_sim` fuzzes the engine; the repository
+//! benchmark in `xdcbench/` times it.
 
 pub mod algo;
 pub mod figures;

@@ -64,10 +64,6 @@ pub struct CollectiveResult {
     /// `2(N−1)/N · D · 8 / total_time` for allreduce ops, plain
     /// aggregate goodput for all-to-all.
     pub bus_bw_bps: f64,
-    /// Engine counters for the perf harness.
-    pub events: u64,
-    pub events_scheduled: u64,
-    pub peak_queue_depth: u64,
 }
 
 impl CollectiveResult {
@@ -143,9 +139,6 @@ pub fn run(cfg: &CollectiveConfig) -> CollectiveResult {
         hung_flows: total_flows - completed,
         completed_flows: completed,
         bus_bw_bps: moved_bits / to_secs(total_time),
-        events: sim.out.events_processed,
-        events_scheduled: sim.out.events_scheduled,
-        peak_queue_depth: sim.out.peak_queue_depth,
     }
 }
 

@@ -102,11 +102,6 @@ pub struct FaultCellResult {
     pub breakdown: FctBreakdown,
     pub fault_drops: u64,
     pub retransmits: u64,
-    pub events: u64,
-    /// Total events scheduled (≥ `events`; the rest were pending at stop).
-    pub events_scheduled: u64,
-    /// High-water mark of the event queue.
-    pub peak_queue_depth: u64,
 }
 
 impl FaultCellResult {
@@ -174,9 +169,6 @@ pub fn run_cell(cell: FaultCell) -> FaultCellResult {
         breakdown: FctBreakdown::new(&sim.out.fcts),
         fault_drops: sim.out.fault_drops,
         retransmits: sim.out.retransmits,
-        events: sim.out.events_processed,
-        events_scheduled: sim.out.events_scheduled,
-        peak_queue_depth: sim.out.peak_queue_depth,
     }
 }
 

@@ -83,90 +83,11 @@ pub struct LargeScaleResult {
     /// Total packet drops: buffer overflow plus injected faults.
     pub dropped_packets: u64,
     pub pfc_pauses: u64,
-    pub events: u64,
-    /// Total events scheduled (≥ `events`; the rest were pending at stop).
-    pub events_scheduled: u64,
-    /// High-water mark of the event queue.
-    pub peak_queue_depth: u64,
 }
 
 /// Run one algorithm over one workload configuration.
 pub fn run(algo: Algo, cfg: LargeScaleConfig) -> LargeScaleResult {
     run_custom(algo, algo.name(), algo.factory(), algo.dci_features(), cfg)
-}
-
-/// Run one algorithm over one workload configuration sharded across
-/// `n_shards` threads (one DC per shard on the two-DC fabric), merged
-/// back into canonical order by [`netsim::shard::run_sharded`].
-///
-/// The workload is generated once on the calling thread; each shard
-/// rebuilds the (deterministic) topology and registers the identical
-/// flow list, and ownership gating inside the simulator does the rest.
-/// `peak_queue_depth` in the result is the per-shard maximum, not
-/// comparable with single-threaded runs.
-pub fn run_mc(algo: Algo, cfg: LargeScaleConfig, n_shards: u32) -> LargeScaleResult {
-    let params = TwoDcParams {
-        servers_per_leaf: cfg.servers_per_leaf,
-        long_haul_delay: cfg.long_haul_delay,
-        ..TwoDcParams::default()
-    };
-    let topo = TwoDcTopology::build(params);
-    let sim_cfg = SimConfig {
-        stop_time: cfg.duration + cfg.drain,
-        monitor_interval: 0,
-        dci: algo.dci_features(),
-        seed: cfg.seed,
-        ..SimConfig::default()
-    };
-
-    let mut gen = TrafficGen::new(cfg.seed, params.server_link);
-    let mut requests = Vec::new();
-    for dc in 0..2 {
-        let servers = topo.dc_servers(dc);
-        let class = TrafficClass {
-            senders: servers.clone(),
-            receivers: servers,
-            load: cfg.intra_load,
-            mix: cfg.mix,
-        };
-        requests.extend(gen.generate(&class, 0, cfg.duration));
-    }
-    for (src_dc, dst_dc) in [(0usize, 1usize), (1, 0)] {
-        let senders = topo.dc_servers(src_dc);
-        let eq_load = cfg.cross_load * params.long_haul_link as f64
-            / (senders.len() as f64 * params.server_link as f64);
-        let class = TrafficClass {
-            senders,
-            receivers: topo.dc_servers(dst_dc),
-            load: eq_load.min(1.0),
-            mix: cfg.mix,
-        };
-        requests.extend(gen.generate(&class, 0, cfg.duration));
-    }
-
-    let build = move || {
-        let topo = TwoDcTopology::build(params);
-        Simulator::new(topo.net, sim_cfg, algo.factory())
-    };
-    let setup = |sim: &mut Simulator| {
-        for r in &requests {
-            sim.add_flow(r.src, r.dst, r.size_bytes, r.start);
-        }
-    };
-    let sh = netsim::shard::run_sharded(n_shards, None, build, setup);
-
-    LargeScaleResult {
-        algo,
-        label: algo.name(),
-        breakdown: FctBreakdown::new(&sh.out.fcts),
-        flows_total: requests.len(),
-        flows_completed: sh.out.fcts.len(),
-        dropped_packets: sh.out.total_dropped(),
-        pfc_pauses: sh.out.pfc_events.len() as u64,
-        events: sh.out.events_processed,
-        events_scheduled: sh.out.events_scheduled,
-        peak_queue_depth: sh.out.peak_queue_depth,
-    }
 }
 
 /// Run an arbitrary factory/DCI-feature combination (ablations).
@@ -233,8 +154,5 @@ pub fn run_custom(
         flows_completed: sim.out.fcts.len(),
         dropped_packets: sim.out.total_dropped(),
         pfc_pauses: sim.total_pfc_pauses(),
-        events: sim.out.events_processed,
-        events_scheduled: sim.out.events_scheduled,
-        peak_queue_depth: sim.out.peak_queue_depth,
     }
 }

@@ -8,13 +8,14 @@
 //!
 //! It is intentionally **not** installed by the library: a
 //! `#[global_allocator]` in a library would be forced on every
-//! downstream binary. Instead, the two consumers that want numbers
-//! install it themselves:
+//! downstream binary. Instead, the consumers that want numbers install
+//! it themselves:
 //!
-//! * `tests/alloc_gate.rs` — proves the steady-state event loop
-//!   performs **zero** heap allocations once pools are warm;
-//! * the `engine_perf` bench binary — reports `peak_mem_bytes`
-//!   per scenario in `BENCH_netsim.json`.
+//! * `tests/alloc_gate.rs` (and `tests/collective_churn.rs`) — prove
+//!   the steady-state event loop performs **zero** heap allocations
+//!   once pools are warm;
+//! * the `xdcbench` repository benchmark — reports `peak_heap_mb` and
+//!   `sim.alloc_calls` per workload.
 //!
 //! Counters are process-global; concurrent tests would interleave
 //! their counts, which is why the allocation gate lives in its own

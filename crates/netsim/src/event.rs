@@ -29,10 +29,10 @@ pub enum Event {
     /// `link` finishes serializing its current packet and may start the
     /// next one.
     TxComplete { link: LinkId },
-    /// A host's pacing timer: some flow may now be allowed to send.
-    HostWake { node: NodeId },
-    /// A DCI per-flow-queue pacing timer for the given egress link.
-    PfqWake { link: LinkId },
+    /// A pacing timer for egress `link`: a flow at its source host, or a
+    /// DCI per-flow queue at its source switch, may now be allowed to
+    /// send.
+    Wake { link: LinkId },
     /// A per-flow timer owned by a congestion-control module at `node`.
     CcTimer { node: NodeId, flow: FlowId },
     /// A retransmission timeout check for `flow` at its sender.

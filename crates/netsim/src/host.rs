@@ -156,8 +156,6 @@ pub struct Host {
     /// Round-robin order of active sending flows.
     rr: Vec<FlowId>,
     rr_cursor: usize,
-    /// Mirror of the earliest scheduled HostWake, to dedup events.
-    pub wake_at: Option<Time>,
     /// Cumulative in-order bytes accepted by this host's receivers —
     /// the liveness watchdog's progress signal.
     pub delivered_bytes: u64,
@@ -179,7 +177,6 @@ impl Host {
             recv: DenseMap::new(),
             rr: Vec::new(),
             rr_cursor: 0,
-            wake_at: None,
             delivered_bytes: 0,
             giveup_rto_limit: 0,
             flow_deadline: 0,

@@ -62,8 +62,9 @@ pub struct Link {
     pub busy: bool,
     /// Cumulative bytes ever serialized (INT's txBytes).
     pub tx_bytes: u64,
-    /// Dedup for scheduled PFQ pacing wakeups.
-    pub pfq_wake_at: Option<Time>,
+    /// Mirror of the earliest scheduled [`crate::event::Event::Wake`]
+    /// for this egress, to dedup pacing wakeups.
+    pub wake_at: Option<Time>,
     /// INT hop identifier (unique per link).
     pub hop_id: u32,
     /// Packets ever put on the wire by this egress. On long-haul links
@@ -135,7 +136,7 @@ mod tests {
             pfq: None,
             busy: false,
             tx_bytes: 0,
-            pfq_wake_at: None,
+            wake_at: None,
             hop_id: 0,
             wire_seq: 0,
             faults: None,

@@ -860,20 +860,10 @@ impl Simulator {
                 self.links[link.index()].busy = false;
                 self.try_start_tx(link);
             }
-            Event::HostWake { node } => {
-                let uplink = {
-                    let h = self.nodes[node.index()].as_host_mut().expect("host");
-                    if h.wake_at == Some(t) {
-                        h.wake_at = None;
-                    }
-                    h.uplink
-                };
-                self.try_start_tx(uplink);
-            }
-            Event::PfqWake { link } => {
+            Event::Wake { link } => {
                 let lk = &mut self.links[link.index()];
-                if lk.pfq_wake_at == Some(t) {
-                    lk.pfq_wake_at = None;
+                if lk.wake_at == Some(t) {
+                    lk.wake_at = None;
                 }
                 self.try_start_tx(link);
             }
@@ -1267,6 +1257,16 @@ impl Simulator {
         self.try_start_tx(egress);
     }
 
+    /// Schedule a [`Event::Wake`] for egress `l` at `t`, unless the one
+    /// already pending (mirrored in `Link::wake_at`) fires first.
+    fn schedule_wake(&mut self, l: LinkId, t: Time) {
+        let lk = &mut self.links[l.index()];
+        if lk.wake_at.is_none_or(|w| w <= self.now || w > t) {
+            lk.wake_at = Some(t);
+            self.events.schedule(t, Event::Wake { link: l });
+        }
+    }
+
     /// Try to start serializing the next packet on `l`.
     fn try_start_tx(&mut self, l: LinkId) {
         let now = self.now;
@@ -1289,14 +1289,7 @@ impl Simulator {
                     pkt = Some(p);
                     from_pfq = true;
                 }
-                PfqDequeue::NextAt(t) => {
-                    let lk = &mut self.links[l.index()];
-                    let need = lk.pfq_wake_at.is_none_or(|w| w <= now || w > t);
-                    if need {
-                        lk.pfq_wake_at = Some(t);
-                        self.events.schedule(t, Event::PfqWake { link: l });
-                    }
-                }
+                PfqDequeue::NextAt(t) => self.schedule_wake(l, t),
                 PfqDequeue::Empty => {}
             }
         }
@@ -1310,13 +1303,7 @@ impl Simulator {
                         self.audit.on_born(&p);
                         pkt = Some(p);
                     }
-                    HostTx::WakeAt(t) => {
-                        let need = h.wake_at.is_none_or(|w| w <= now || w > t);
-                        if need {
-                            h.wake_at = Some(t);
-                            self.events.schedule(t, Event::HostWake { node: src });
-                        }
-                    }
+                    HostTx::WakeAt(t) => self.schedule_wake(l, t),
                     HostTx::Idle => {}
                 }
             }
