@@ -1,10 +1,10 @@
 //! The discrete-event core: event kinds and a deterministic scheduler.
 //!
 //! The scheduler is a hierarchical timing wheel (6 levels × 64 slots over
-//! the picosecond clock, with an overflow heap for events beyond the
-//! wheel's horizon). It preserves the exact total order of the original
-//! `BinaryHeap` implementation — (time, insertion sequence) — so golden
-//! replays stay bit-identical; see DESIGN.md §"Engine performance".
+//! the picosecond clock, an overflow heap past its horizon, and a sorted
+//! run for the tick being dispatched). It preserves the exact total order
+//! of the original `BinaryHeap` implementation — (time, insertion
+//! sequence) — so golden replays stay bit-identical; see DESIGN.md §8.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -15,11 +15,11 @@ use crate::units::Time;
 
 /// Everything that can happen in the simulation.
 ///
-/// Packets ride boxed so the scheduled node stays small (~40 B): the wheel
-/// and heaps shuffle nodes around on every schedule/pop, and moving a full
-/// `Packet` (with its inline `IntStack`) through those sifts dominated the
-/// hot path. The box itself is recycled through `Simulator`'s packet pool,
-/// so steady-state scheduling still does no allocation.
+/// Packets ride boxed so the scheduled node stays within 32 B: the wheel,
+/// the ready run and the overflow heap move nodes by value on every
+/// schedule/pop, and moving a full `Packet` (with its inline `IntStack`)
+/// dominated the hot path. The box itself is recycled through `Simulator`'s
+/// packet pool, so steady-state scheduling still does no allocation.
 #[derive(Clone, Debug)]
 pub enum Event {
     /// A flow's first byte becomes available at its sender.
@@ -62,6 +62,10 @@ struct Scheduled {
     event: Event,
 }
 
+/// 16 B key + 16 B `Event`: a fatter `Event` must fail the build, not a benchmark.
+const MAX_SCHEDULED_BYTES: usize = 32;
+const _: () = assert!(std::mem::size_of::<Scheduled>() <= MAX_SCHEDULED_BYTES);
+
 impl PartialEq for Scheduled {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.seq == other.seq
@@ -75,11 +79,8 @@ impl PartialOrd for Scheduled {
 }
 impl Ord for Scheduled {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
+        // Reversed: the earliest is the overflow heap's max and sorts last.
+        (other.at, other.seq).cmp(&(self.at, self.seq))
     }
 }
 
@@ -120,8 +121,8 @@ pub fn boundary_seq(link: LinkId, wire_seq: u64) -> u64 {
 /// Deterministic event queue: hierarchical timing wheel + overflow heap.
 ///
 /// Invariants (with `tick = at >> BASE_SHIFT`):
-/// * `ready` holds every pending event with `tick == ready_tick`, ordered
-///   by `(at, seq)`; events scheduled later into the current tick join it.
+/// * `ready` holds every pending event with `tick == ready_tick`, sorted
+///   earliest last; events scheduled later into that tick are inserted.
 /// * The wheel holds events with `tick > ready_tick` whose tick shares the
 ///   cursor's top block (`tick >> WHEEL_BITS == elapsed >> WHEEL_BITS`);
 ///   `occupied` bitmaps mirror slot occupancy exactly.
@@ -136,8 +137,8 @@ pub struct EventQueue {
     /// Current wheel tick: every event with an earlier tick has been
     /// drained into `ready` (and possibly popped).
     elapsed: u64,
-    /// Events of the tick currently being dispatched, earliest first.
-    ready: BinaryHeap<Scheduled>,
+    /// Events of the tick currently being dispatched, earliest last.
+    ready: Vec<Scheduled>,
     /// The tick whose events `ready` is (or was last) serving.
     ready_tick: Option<u64>,
     /// Events beyond the wheel horizon, earliest first.
@@ -180,7 +181,7 @@ impl EventQueue {
             slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
             occupied: [0; LEVELS],
             elapsed: 0,
-            ready: BinaryHeap::new(),
+            ready: Vec::new(),
             ready_tick: None,
             overflow: BinaryHeap::new(),
             next_seq: 0,
@@ -190,8 +191,8 @@ impl EventQueue {
         }
     }
 
-    /// Pre-reserve `per_slot` entries in every wheel slot and the
-    /// ready/overflow heaps, so a steady-state workload whose per-slot
+    /// Pre-reserve `per_slot` entries in every wheel slot, the ready run
+    /// and the overflow heap, so a steady-state workload whose per-slot
     /// event density stays under `per_slot` never grows a slot `Vec`
     /// mid-run. Used by allocation-budget tests; a no-op for capacity
     /// already reserved.
@@ -237,16 +238,18 @@ impl EventQueue {
         let tick = tick_of(at);
         // Events landing in the tick currently being dispatched (or
         // earlier — the sim never does that, but the contract allows it)
-        // join the ready heap so they still pop in (at, seq) order.
+        // join the ready run at their (at, seq) place.
         if self.ready_tick.is_some_and(|rt| tick <= rt) {
-            self.ready.push(s);
+            let pos = self.ready.partition_point(|e| *e < s);
+            self.ready.insert(pos, s);
             return;
         }
         debug_assert!(tick >= self.elapsed, "scheduling into a drained tick");
-        self.insert_wheel(s, tick);
+        self.insert_wheel(s);
     }
 
-    fn insert_wheel(&mut self, s: Scheduled, tick: u64) {
+    fn insert_wheel(&mut self, s: Scheduled) {
+        let tick = tick_of(s.at);
         let level = level_for(self.elapsed, tick);
         if level >= LEVELS {
             self.overflow.push(s);
@@ -283,25 +286,23 @@ impl EventQueue {
             // wheel. The overflow heap is (at, seq)-ordered, so events of
             // the current block drain before any later block's.
             while let Some(s) = self.overflow.peek() {
-                let tick = tick_of(s.at);
-                if tick >> WHEEL_BITS != self.elapsed >> WHEEL_BITS {
+                if tick_of(s.at) >> WHEEL_BITS != self.elapsed >> WHEEL_BITS {
                     break;
                 }
                 let s = self.overflow.pop().expect("peeked");
-                self.insert_wheel(s, tick);
+                self.insert_wheel(s);
             }
             match self.next_occupied() {
                 Some((0, slot)) => {
-                    // The minimum tick: drain it into the ready heap.
+                    // The minimum tick: the ready run takes it, sorted once.
+                    // Keys are unique, so the unstable sort is exact.
                     self.occupied[0] &= !(1 << slot);
-                    let base = self.elapsed & !SLOT_MASK;
-                    let tick = base | slot as u64;
+                    let tick = (self.elapsed & !SLOT_MASK) | slot as u64;
                     self.elapsed = tick;
                     self.ready_tick = Some(tick);
-                    for s in self.slots[slot].drain(..) {
-                        debug_assert_eq!(tick_of(s.at), tick);
-                        self.ready.push(s);
-                    }
+                    self.ready.append(&mut self.slots[slot]);
+                    debug_assert!(self.ready.iter().all(|s| tick_of(s.at) == tick));
+                    self.ready.sort_unstable();
                     return;
                 }
                 Some((level, slot)) => {
@@ -315,8 +316,7 @@ impl EventQueue {
                     let idx = level * SLOTS + slot;
                     let mut moved = std::mem::take(&mut self.slots[idx]);
                     for s in moved.drain(..) {
-                        let tick = tick_of(s.at);
-                        self.insert_wheel(s, tick);
+                        self.insert_wheel(s);
                     }
                     // Hand the spare capacity back to the slot.
                     self.slots[idx] = moved;
@@ -345,7 +345,7 @@ impl EventQueue {
     /// the queue exposes is unchanged by staging).
     pub fn peek_time(&mut self) -> Option<Time> {
         self.advance();
-        self.ready.peek().map(|s| s.at)
+        self.ready.last().map(|s| s.at)
     }
 
     /// Total events ever scheduled. Sequence numbers are allocated densely
@@ -368,7 +368,7 @@ impl EventQueue {
         self.len == 0
     }
 
-    /// Visit every pending event (wheel slots, the staged ready heap,
+    /// Visit every pending event (wheel slots, the staged ready run,
     /// and the overflow heap) in no particular order. The auditor's
     /// drain-time census uses this to find in-flight `Arrival` packets.
     #[cfg(feature = "audit")]
@@ -497,6 +497,39 @@ mod tests {
     }
 
     #[test]
+    fn prewarmed_ready_run_absorbs_same_tick_inserts_without_growing() {
+        // `prewarm(n)` must let a dispatching tick take `n` zero-delay
+        // self-posts without reallocating the ready run: the zero-alloc
+        // gate depends on it.
+        const N: usize = 300;
+        let mut q = EventQueue::new();
+        q.prewarm(N);
+        q.schedule(10, tick());
+        q.schedule(1 << 20, tick());
+        assert_eq!(q.pop().unwrap().0, 10, "dispatches the first tick");
+        let cap = q.ready.capacity();
+        assert!(cap >= N);
+        // Later instants first, so most inserts land mid-run, not at the end.
+        for i in (0..N as u64).rev() {
+            q.schedule(100 + 50 * i, tick());
+        }
+        assert_eq!(q.ready.len(), N);
+        assert_eq!(q.ready.capacity(), cap, "the ready run grew mid-dispatch");
+        for i in 0..N as u64 {
+            assert_eq!(q.pop().unwrap().0, 100 + 50 * i);
+        }
+        assert_eq!(q.pop().unwrap().0, 1 << 20);
+    }
+
+    #[test]
+    fn scheduled_node_stays_under_budget() {
+        // The const assertion enforces the same ceiling at build time;
+        // this records the measured value.
+        let sz = std::mem::size_of::<Scheduled>();
+        assert!(sz <= MAX_SCHEDULED_BYTES, "Scheduled is {sz} bytes");
+    }
+
+    #[test]
     fn far_future_overflow_roundtrip() {
         // Beyond the wheel horizon (2^52 ps) and back.
         let mut q = EventQueue::new();
@@ -570,8 +603,14 @@ mod proptests {
             self.next_seq += 1;
             self.heap.push(Scheduled { at, seq, event });
         }
+        fn schedule_with_seq(&mut self, at: Time, seq: u64, event: Event) {
+            self.heap.push(Scheduled { at, seq, event });
+        }
         fn pop(&mut self) -> Option<(Time, Event)> {
             self.heap.pop().map(|s| (s.at, s.event))
+        }
+        fn peek_time(&self) -> Option<Time> {
+            self.heap.peek().map(|s| s.at)
         }
     }
 
@@ -642,6 +681,99 @@ mod proptests {
             }
             assert_eq!(wheel.scheduled_total(), oracle.next_seq);
             let _ = now;
+        }
+    }
+
+    /// The ready run's binary-search insert against the heap
+    /// oracle. Boundary keys (at `now` and in the future, from several
+    /// links so keys do not rise in scheduling order) are interleaved with
+    /// ordinary schedules, `peek_time` is checked before every pop, and
+    /// after a pop a burst of ordinary and boundary events often lands in
+    /// the tick being dispatched.
+    #[test]
+    fn matches_binary_heap_oracle_with_boundary_keys_and_peeks() {
+        const LINKS: usize = 6;
+        let mut rng = Xoshiro256StarStar::seed_from_u64(0xB0DA_5EED);
+        for round in 0..48 {
+            let mut wheel = EventQueue::new();
+            let mut oracle = HeapOracle::new();
+            let mut wire_seq = [0u64; LINKS];
+            let mut now: Time = 0;
+            let mut next_id = 0u32;
+            let mut pending = 0usize;
+            let mut schedule = |wheel: &mut EventQueue,
+                                oracle: &mut HeapOracle,
+                                rng: &mut Xoshiro256StarStar,
+                                at: Time| {
+                let ev = || Event::FlowStart(FlowId(next_id));
+                if rng.gen_range(0..3) == 0 {
+                    let link = rng.gen_range(0..LINKS as u64) as usize;
+                    let key = boundary_seq(LinkId(link as u32), wire_seq[link]);
+                    wire_seq[link] += 1;
+                    wheel.schedule_with_seq(at, key, ev());
+                    oracle.schedule_with_seq(at, key, ev());
+                } else {
+                    wheel.schedule(at, ev());
+                    oracle.schedule(at, ev());
+                }
+                next_id += 1;
+            };
+            for _ in 0..2_000 {
+                if pending > 0 && rng.gen_range(0..100) < 45 {
+                    assert_eq!(
+                        wheel.peek_time(),
+                        oracle.peek_time(),
+                        "round {round}: peek diverged"
+                    );
+                    let a = wheel.pop().expect("wheel has pending events");
+                    let b = oracle.pop().expect("oracle has pending events");
+                    assert_eq!(
+                        (a.0, id_of(&a.1)),
+                        (b.0, id_of(&b.1)),
+                        "round {round}: wheel and heap diverged"
+                    );
+                    now = a.0;
+                    pending -= 1;
+                    if rng.gen_range(0..2) == 0 {
+                        // Mid-dispatch burst into the current tick.
+                        let tick_end = (tick_of(now) + 1) << BASE_SHIFT;
+                        for _ in 0..1 + rng.gen_range(0..8) {
+                            let at = if rng.gen_range(0..2) == 0 {
+                                now
+                            } else {
+                                now + rng.gen_range(0..tick_end - now)
+                            };
+                            schedule(&mut wheel, &mut oracle, &mut rng, at);
+                            pending += 1;
+                        }
+                    }
+                } else {
+                    let at = match rng.gen_range(0..8) {
+                        0 | 1 => now,
+                        2 | 3 => now + rng.gen_range(0..1 << BASE_SHIFT),
+                        4 | 5 => now + rng.gen_range(0..1 << 24),
+                        6 => now + rng.gen_range(0..1 << 40),
+                        _ => now + (1 << 52) + rng.gen_range(0..1 << 40),
+                    };
+                    for _ in 0..1 + rng.gen_range(0..4) {
+                        schedule(&mut wheel, &mut oracle, &mut rng, at);
+                        pending += 1;
+                    }
+                }
+            }
+            loop {
+                assert_eq!(wheel.peek_time(), oracle.peek_time());
+                match (wheel.pop(), oracle.pop()) {
+                    (None, None) => break,
+                    (Some(a), Some(b)) => assert_eq!((a.0, id_of(&a.1)), (b.0, id_of(&b.1))),
+                    (a, b) => panic!(
+                        "round {round}: one queue drained early (wheel={:?} oracle={:?})",
+                        a.map(|x| x.0),
+                        b.map(|x| x.0)
+                    ),
+                }
+            }
+            assert_eq!(wheel.scheduled_total(), next_id as u64);
         }
     }
 
