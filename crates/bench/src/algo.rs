@@ -1,6 +1,6 @@
 //! Algorithm registry: the five protocols the paper evaluates.
 
-use cc_baselines::{Baseline, DcqcnFactory, HpccFactory, PowerTcpFactory, TimelyFactory};
+use cc_baselines::{DcqcnFactory, HpccFactory, PowerTcpFactory, TimelyFactory};
 use mlcc_core::{MlccFactory, MlccParams};
 use netsim::cc::CcFactory;
 use netsim::config::DciFeatures;
@@ -64,17 +64,6 @@ impl Algo {
         Algo::ALL
             .into_iter()
             .find(|a| a.name().eq_ignore_ascii_case(s))
-    }
-
-    /// The corresponding `cc_baselines::Baseline`, if this is one.
-    pub fn as_baseline(self) -> Option<Baseline> {
-        match self {
-            Algo::Dcqcn => Some(Baseline::Dcqcn),
-            Algo::Timely => Some(Baseline::Timely),
-            Algo::Hpcc => Some(Baseline::Hpcc),
-            Algo::PowerTcp => Some(Baseline::PowerTcp),
-            Algo::Mlcc => None,
-        }
     }
 }
 

@@ -56,7 +56,7 @@ pub fn fig02(_full: bool) -> String {
                 q as f64 / 1e6
             );
         }
-        let _ = writeln!(out, "# PFC pause transitions: {}", r.pfc_total);
+        let _ = writeln!(out, "# PFC pause transitions: {}", r.pfc_events.len());
         let first_pfc = r.pfc_events.first().map(|&(t, _)| to_millis(t));
         let _ = writeln!(out, "# first PFC at: {:?} ms", first_pfc);
         let _ = writeln!(out);
@@ -85,7 +85,7 @@ pub fn fig02(_full: bool) -> String {
     }
     let dcqcn = &results[0].1;
     assert!(
-        dcqcn.pfc_total > 0,
+        !dcqcn.pfc_events.is_empty(),
         "DCQCN: cross burst must trigger PFC at the receiver DC"
     );
     let first = dcqcn.pfc_events.first().map(|&(t, _)| t).unwrap();

@@ -150,7 +150,7 @@ fn run_incast(algo: Algo) -> IncastResult {
         victim_avg_us,
         completed: sim.out.fcts.len(),
         total: n_incast + n_victims as usize,
-        pfc: sim.total_pfc_pauses(),
+        pfc: sim.out.pfc_events.len() as u64,
     }
 }
 

@@ -139,7 +139,7 @@ pub fn run(
         flow_throughput,
         dci_queue,
         pfq_series,
-        pfc_pauses: sim.total_pfc_pauses(),
+        pfc_pauses: sim.out.pfc_events.len() as u64,
     }
 }
 

@@ -17,8 +17,8 @@
 //! so shrinking converges instead of chasing a moving target.
 //!
 //! The `fuzz_sim` binary drives sweeps and prints violations as
-//! replayable `--replay <spec>` command lines; [`parse_spec`] /
-//! [`FuzzSpec::to_string`] define that round-trippable format.
+//! replayable `--replay <spec>` command lines; [`parse_spec`] and
+//! [`FuzzSpec`]'s `Display` impl define that round-trippable format.
 //!
 //! Compile with `--features audit` to arm the invariant checks; without
 //! the feature the fuzzer still runs scenarios but only catches
@@ -49,7 +49,7 @@ const FAULT_BITS: [u8; 6] = [
 
 /// Node-fault clauses a spec can apply, one bit each. The crash bits
 /// pick their victim and timing from the `(seed, 3)` substream — see
-/// [`FuzzSpec::node_fault_plan`].
+/// `FuzzSpec::node_fault_plan`.
 pub const NF_HOST_CRASH: u8 = 1 << 0;
 /// Turns the crashes into crash-restarts (no effect on its own).
 pub const NF_RESTART: u8 = 1 << 1;
@@ -59,7 +59,7 @@ pub const NF_CTRL_OUTAGE: u8 = 1 << 3;
 const NF_BITS: [u8; 4] = [NF_HOST_CRASH, NF_RESTART, NF_SWITCH_CRASH, NF_CTRL_OUTAGE];
 
 /// Give-up-policy clauses, one bit each; parameters come from the
-/// `(seed, 4)` substream — see [`FuzzSpec::giveup_plan`].
+/// `(seed, 4)` substream — see `FuzzSpec::giveup_plan`.
 pub const GV_RTO: u8 = 1 << 0;
 pub const GV_DEADLINE: u8 = 1 << 1;
 pub const GV_WATCHDOG: u8 = 1 << 2;
@@ -289,7 +289,8 @@ impl std::fmt::Display for FuzzSpec {
     }
 }
 
-/// Parse the `--replay` spec format produced by [`FuzzSpec::to_string`].
+/// Parse the `--replay` spec format that [`FuzzSpec`]'s `Display` impl
+/// produces.
 pub fn parse_spec(s: &str) -> Result<FuzzSpec, String> {
     let mut spec = FuzzSpec {
         seed: 0,
@@ -489,7 +490,7 @@ pub fn run_spec(spec: &FuzzSpec) -> FuzzOutcome {
             failed: sim.out.failed().count(),
             watchdog_fired: sim.out.watchdog.is_some(),
             events: sim.out.events_processed,
-            pfc_pauses: sim.total_pfc_pauses(),
+            pfc_pauses: sim.out.pfc_events.len() as u64,
             buffer_drops: sim.out.buffer_drops,
         }
     };

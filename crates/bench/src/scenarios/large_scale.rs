@@ -153,6 +153,6 @@ pub fn run_custom(
         flows_total: requests.len(),
         flows_completed: sim.out.fcts.len(),
         dropped_packets: sim.out.total_dropped(),
-        pfc_pauses: sim.total_pfc_pauses(),
+        pfc_pauses: sim.out.pfc_events.len() as u64,
     }
 }

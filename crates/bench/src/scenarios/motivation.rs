@@ -23,7 +23,6 @@ pub struct MotivationResult {
     pub queue: Vec<(Time, u64)>,
     /// PFC pause events (time, switch).
     pub pfc_events: Vec<(Time, NodeId)>,
-    pub pfc_total: u64,
 }
 
 fn avg_series(per_flow: &[Vec<(Time, f64)>]) -> Vec<(Time, f64)> {
@@ -126,7 +125,6 @@ pub fn experiment1(algo: Algo, duration: Time) -> MotivationResult {
         group_b_gbps: avg_series(&per_flow[4..]),
         queue: sim.out.monitor.queue_sum_series(),
         pfc_events: sim.out.pfc_events.clone(),
-        pfc_total: sim.total_pfc_pauses(),
     }
 }
 
@@ -183,7 +181,6 @@ pub fn experiment2(algo: Algo, duration: Time) -> MotivationResult {
         group_b_gbps: avg_series(&per_flow[4..]),
         queue: sim.out.monitor.queue_sum_series(),
         pfc_events: sim.out.pfc_events.clone(),
-        pfc_total: sim.total_pfc_pauses(),
     }
 }
 
@@ -219,6 +216,5 @@ pub fn experiment3(algo: Algo, duration: Time) -> MotivationResult {
         group_b_gbps: avg_series(&per_flow[4..]),
         queue: sim.out.monitor.queue_sum_series(),
         pfc_events: sim.out.pfc_events.clone(),
-        pfc_total: sim.total_pfc_pauses(),
     }
 }

@@ -3,7 +3,7 @@
 
 use crate::topology::Network;
 use crate::types::{LinkId, NodeId};
-use crate::units::{Bandwidth, Time, GBPS, MS, US};
+use crate::units::{Time, MS};
 
 /// DCI-switch feature switches: the MLCC data-plane mechanisms. Baseline
 /// algorithms run with everything off (the DCI behaves as a plain
@@ -14,12 +14,6 @@ pub struct DciFeatures {
     pub pfq_enabled: bool,
     /// Sender-side Switch-INT near-source feedback.
     pub near_source_enabled: bool,
-    /// Minimum per-flow interval between Switch-INT feedback packets.
-    pub switch_int_min_interval: Time,
-    /// Initial dequeue rate for a newly created PFQ (§3.2.2: "the
-    /// receiver-side DCI-switch sends the flow into the receiver-side
-    /// datacenter using the initial rate").
-    pub pfq_init_rate: Bandwidth,
 }
 
 impl DciFeatures {
@@ -28,8 +22,6 @@ impl DciFeatures {
         DciFeatures {
             pfq_enabled: true,
             near_source_enabled: true,
-            switch_int_min_interval: 4 * US,
-            pfq_init_rate: 25 * GBPS,
         }
     }
 
@@ -38,8 +30,6 @@ impl DciFeatures {
         DciFeatures {
             pfq_enabled: false,
             near_source_enabled: false,
-            switch_int_min_interval: 4 * US,
-            pfq_init_rate: 25 * GBPS,
         }
     }
 }
@@ -119,6 +109,14 @@ pub enum ConfigError {
     EmptyTopology,
     /// The network has nodes but no hosts, so no flow can be placed.
     NoHosts,
+    /// A host packetizes at a different payload MTU than
+    /// `cfg.mtu_payload`, which sets path RTTs and the CC's MTU: the
+    /// two would silently disagree about every packet's size.
+    MtuMismatch {
+        node: NodeId,
+        host_mtu: u32,
+        cfg_mtu: u32,
+    },
     /// A link with zero bandwidth would serialize forever.
     ZeroRateLink { link: LinkId },
     /// An enabled ECN profile with `Kmin > Kmax` has no valid marking
@@ -172,6 +170,15 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ZeroMtu => write!(f, "mtu_payload must be nonzero"),
             ConfigError::EmptyTopology => write!(f, "topology has no nodes"),
             ConfigError::NoHosts => write!(f, "topology has no hosts"),
+            ConfigError::MtuMismatch {
+                node,
+                host_mtu,
+                cfg_mtu,
+            } => write!(
+                f,
+                "host {node} packetizes at mtu_payload {host_mtu} \
+                 but the config says {cfg_mtu}"
+            ),
             ConfigError::ZeroRateLink { link } => {
                 write!(f, "link {:?} has zero bandwidth", link)
             }
@@ -250,6 +257,15 @@ pub fn validate(cfg: &SimConfig, net: &Network) -> Result<(), ConfigError> {
     if net.hosts.is_empty() {
         return Err(ConfigError::NoHosts);
     }
+    for h in net.nodes.iter().filter_map(|n| n.as_host()) {
+        if h.mtu_bytes != cfg.mtu_payload {
+            return Err(ConfigError::MtuMismatch {
+                node: h.id,
+                host_mtu: h.mtu_bytes,
+                cfg_mtu: cfg.mtu_payload,
+            });
+        }
+    }
     for (i, lk) in net.links.iter().enumerate() {
         // Links live in an id-indexed slab; an id out of step with its
         // position means two links alias one identity.
@@ -300,7 +316,7 @@ mod tests {
     use crate::sim::Simulator;
     use crate::switch::SwitchKind;
     use crate::topology::NetBuilder;
-    use crate::units::US;
+    use crate::units::{Bandwidth, GBPS, US};
 
     /// Minimal valid h0 — s — h1 line, with hooks to break it.
     fn line(bandwidth: Bandwidth, ecn: Option<EcnConfig>) -> Network {
@@ -329,6 +345,24 @@ mod tests {
             ..SimConfig::default()
         };
         assert_eq!(validate(&cfg, &line(GBPS, None)), Err(ConfigError::ZeroMtu));
+    }
+
+    #[test]
+    fn mtu_disagreeing_with_the_network_rejected() {
+        // A topology built at a 4000 B MTU under the default 1000 B config.
+        let topo = crate::topology::TwoDcTopology::build(crate::topology::TwoDcParams {
+            mtu_payload: 4000,
+            ..Default::default()
+        });
+        let first_host = topo.net.hosts[0];
+        assert_eq!(
+            validate(&SimConfig::default(), &topo.net),
+            Err(ConfigError::MtuMismatch {
+                node: first_host,
+                host_mtu: 4000,
+                cfg_mtu: 1000,
+            })
+        );
     }
 
     #[test]
@@ -480,6 +514,5 @@ mod tests {
         assert!(!c.dci.pfq_enabled);
         let m = DciFeatures::mlcc();
         assert!(m.pfq_enabled && m.near_source_enabled);
-        assert_eq!(m.pfq_init_rate, 25 * GBPS);
     }
 }

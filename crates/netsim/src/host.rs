@@ -576,11 +576,6 @@ impl Host {
         };
     }
 
-    /// Total bytes acknowledged across all sending flows (diagnostics).
-    pub fn total_acked(&self) -> u64 {
-        self.send.values().map(|f| f.bytes_acked).sum()
-    }
-
     /// Total go-back-N retransmissions across all sending flows.
     pub fn total_retransmits(&self) -> u64 {
         self.send.values().map(|f| f.retransmits).sum()

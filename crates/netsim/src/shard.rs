@@ -58,13 +58,12 @@
 //! before a second barrier, so every thread computes the same global
 //! minimum and the same termination decision.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
 
 use crate::flow::FlowSpec;
 use crate::link::Link;
 use crate::packet::Packet;
-use crate::sim::{SimOutput, Simulator, WatchdogReport};
+use crate::sim::{Liveness, Progress, SimOutput, Simulator};
 use crate::trace::{TraceEvent, TraceRecord};
 use crate::types::{LinkId, NodeId};
 use crate::units::Time;
@@ -181,40 +180,21 @@ struct Exchange {
     /// `queues[dst * shards + src]`: boundary packets from `src` to
     /// `dst`, drained by `dst` in fixed `src` order.
     queues: Vec<Mutex<Vec<BoundaryPacket>>>,
-    /// Next runnable event time per shard (`u64::MAX` = none within
-    /// `stop_time`), republished at every barrier.
-    slots: Vec<AtomicU64>,
-    /// Liveness-watchdog consensus inputs, republished per shard at
-    /// every barrier alongside `slots`. Shards combine them at window
-    /// start: progress is the max, the counters are sums, and every
-    /// shard derives the identical stall verdict from the identical
-    /// published snapshot (see [`run_one_shard`]).
-    progress_at: Vec<AtomicU64>,
-    delivered: Vec<AtomicU64>,
-    completed: Vec<AtomicU64>,
-    giveups: Vec<AtomicU64>,
-    pfc: Vec<AtomicU64>,
+    /// Per shard, republished at every barrier: its next runnable event
+    /// time (`u64::MAX` = none within `stop_time`) and its liveness
+    /// snapshot.
+    slots: Vec<Mutex<(Time, Progress)>>,
     barrier: Barrier,
 }
 
-/// Next pending event time within `stop_time`, or `u64::MAX`.
-fn next_runnable(sim: &mut Simulator) -> u64 {
-    match sim.events.peek_time() {
+/// Publish this shard's slot. Must run before the barrier that opens
+/// the next window, so every shard reads a consistent fabric-wide view.
+fn publish_state(sim: &mut Simulator, ex: &Exchange, sidx: usize) {
+    let next = match sim.events.peek_time() {
         Some(t) if t <= sim.cfg.stop_time => t,
         _ => u64::MAX,
-    }
-}
-
-/// Publish this shard's slot and watchdog-consensus snapshot. Must run
-/// before the barrier that opens the next window, so every shard reads
-/// a consistent fabric-wide view.
-fn publish_state(sim: &mut Simulator, ex: &Exchange, sidx: usize) {
-    ex.slots[sidx].store(next_runnable(sim), Ordering::SeqCst);
-    ex.progress_at[sidx].store(sim.last_progress_at, Ordering::SeqCst);
-    ex.delivered[sidx].store(sim.delivered_total, Ordering::SeqCst);
-    ex.completed[sidx].store(sim.out.fcts.len() as u64, Ordering::SeqCst);
-    ex.giveups[sidx].store(sim.giveup_count, Ordering::SeqCst);
-    ex.pfc[sidx].store(sim.out.pfc_events.len() as u64, Ordering::SeqCst);
+    };
+    *ex.slots[sidx].lock().expect("slot poisoned") = (next, sim.progress());
 }
 
 /// Run a scenario sharded across `n_shards` threads and merge the
@@ -248,12 +228,7 @@ where
     let s = n_shards as usize;
     let ex = Exchange {
         queues: (0..s * s).map(|_| Mutex::new(Vec::new())).collect(),
-        slots: (0..s).map(|_| AtomicU64::new(u64::MAX)).collect(),
-        progress_at: (0..s).map(|_| AtomicU64::new(0)).collect(),
-        delivered: (0..s).map(|_| AtomicU64::new(0)).collect(),
-        completed: (0..s).map(|_| AtomicU64::new(0)).collect(),
-        giveups: (0..s).map(|_| AtomicU64::new(0)).collect(),
-        pfc: (0..s).map(|_| AtomicU64::new(0)).collect(),
+        slots: (0..s).map(|_| Mutex::default()).collect(),
         barrier: Barrier::new(s),
     };
     let results: Vec<ShardResult> = std::thread::scope(|sc| {
@@ -343,56 +318,34 @@ where
     setup(&mut sim);
 
     let (sidx, s) = (me as usize, n_shards as usize);
-    let wd = sim.cfg.watchdog_window;
     let n_flows = sim.flows.len() as u64;
-    let mut wd_fired = false;
     publish_state(&mut sim, ex, sidx);
     ex.barrier.wait();
     loop {
         // Every thread reads the same published slots, so every thread
-        // computes the same window (or the same decision to stop).
-        let gmin = ex
+        // computes the same window (or the same decision to stop) and
+        // the same liveness verdict.
+        let (gmin, progress) = ex
             .slots
             .iter()
-            .map(|a| a.load(Ordering::SeqCst))
-            .min()
+            .map(|slot| *slot.lock().expect("slot poisoned"))
+            .reduce(|(t, p), (u, q)| (t.min(u), p.merge(q)))
             .expect("at least one shard");
         if gmin == u64::MAX {
             break;
         }
         let mut w_end = gmin.saturating_add(lookahead);
-        // Liveness watchdog, sharded consensus. Every shard reads the
-        // same published snapshot, so every shard computes the same
-        // deadline and the same verdict. While flows are outstanding
-        // the window is capped at `deadline + 1` (never empty: the
-        // cap only applies when `gmin ≤ deadline`), guaranteeing a
-        // barrier lands exactly when every event `≤ deadline` has run
-        // — the same instant the single-threaded engine declares at.
-        // Extra barriers are observationally neutral: windows only
-        // partition event processing.
-        if wd > 0 && !wd_fired {
-            fn load(v: &[AtomicU64]) -> impl Iterator<Item = u64> + '_ {
-                v.iter().map(|a| a.load(Ordering::SeqCst))
-            }
-            let last_prog = load(&ex.progress_at).max().expect("at least one shard");
-            let completed: u64 = load(&ex.completed).sum();
-            let giveups: u64 = load(&ex.giveups).sum();
-            let unfinished = n_flows.saturating_sub(completed + giveups);
-            let deadline = last_prog + wd;
-            if unfinished > 0 {
-                if gmin > deadline {
-                    wd_fired = true;
-                    sim.declare_stall(WatchdogReport {
-                        stalled_at: deadline,
-                        last_progress_at: last_prog,
-                        window: wd,
-                        unfinished_flows: unfinished as u32,
-                        delivered_bytes: load(&ex.delivered).sum(),
-                        pfc_pauses: load(&ex.pfc).sum(),
-                    });
-                } else {
-                    w_end = w_end.min(deadline + 1);
-                }
+        // The liveness rule on the merged snapshot. Capping the window
+        // at `deadline + 1` (never empty: `gmin ≤ deadline` there) lands
+        // a barrier exactly when every event `≤ deadline` has run, the
+        // instant the single-threaded engine declares at. Extra
+        // barriers are observationally neutral: windows only partition
+        // event processing.
+        if sim.out.watchdog.is_none() {
+            match progress.verdict(n_flows, sim.cfg.watchdog_window, gmin) {
+                Liveness::Unbounded => {}
+                Liveness::Until(t) => w_end = w_end.min(t),
+                Liveness::Stalled(report) => sim.declare_stall(report),
             }
         }
         sim.run_window(w_end);
@@ -420,7 +373,7 @@ where
         publish_state(&mut sim, ex, sidx);
         ex.barrier.wait();
     }
-    sim.finalize_shard();
+    sim.finalize();
 
     ShardResult {
         trace: sim

@@ -41,6 +41,79 @@ pub struct WatchdogReport {
     pub pfc_pauses: u64,
 }
 
+/// The liveness watchdog's inputs: one engine's progress, or a sharded
+/// run's merged across shards. The rule ([`Progress::verdict`]) reads
+/// nothing else, so both engines reach the identical verdict.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Progress {
+    /// Last instant a receiver advanced its in-order byte count.
+    pub last_progress_at: Time,
+    /// In-order bytes delivered at receivers.
+    pub delivered_bytes: u64,
+    /// Flows completed at their receivers.
+    pub completed: u64,
+    /// Sender-side give-ups. Monotone: a straggling completion that
+    /// later supersedes the failure does not take it back.
+    pub giveups: u64,
+    /// PFC pause transitions.
+    pub pfc_pauses: u64,
+}
+
+/// What the liveness rule says about the next event.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Liveness {
+    /// No deadline applies: the watchdog is off or no flow is
+    /// outstanding.
+    Unbounded,
+    /// The next event is within the deadline. A sharded window must end
+    /// at this instant (`deadline + 1`), so the rule is applied again
+    /// once every event up to the deadline has run.
+    Until(Time),
+    /// The run is stalled at exactly the deadline.
+    Stalled(WatchdogReport),
+}
+
+impl Progress {
+    /// Combine two engines' snapshots: the later progress instant, the
+    /// summed counts.
+    pub(crate) fn merge(self, o: Progress) -> Progress {
+        Progress {
+            last_progress_at: self.last_progress_at.max(o.last_progress_at),
+            delivered_bytes: self.delivered_bytes + o.delivered_bytes,
+            completed: self.completed + o.completed,
+            giveups: self.giveups + o.giveups,
+            pfc_pauses: self.pfc_pauses + o.pfc_pauses,
+        }
+    }
+
+    /// The liveness rule, for both engines: with flows outstanding, if
+    /// the `next` event lies past `last_progress_at + window`, the run
+    /// is stalled at exactly that deadline. `window == 0` disables it.
+    ///
+    /// Outstanding flows are the `flows` registered, minus completions,
+    /// minus give-ups. A flow whose receiver completes *after* its
+    /// sender gave up is counted by both, so the count is one short:
+    /// deterministically, and only in a corner no healthy run reaches.
+    pub(crate) fn verdict(self, flows: u64, window: Time, next: Time) -> Liveness {
+        let outstanding = flows.saturating_sub(self.completed + self.giveups);
+        if window == 0 || outstanding == 0 {
+            return Liveness::Unbounded;
+        }
+        let deadline = self.last_progress_at + window;
+        if next <= deadline {
+            return Liveness::Until(deadline + 1);
+        }
+        Liveness::Stalled(WatchdogReport {
+            stalled_at: deadline,
+            last_progress_at: self.last_progress_at,
+            window,
+            unfinished_flows: outstanding as u32,
+            delivered_bytes: self.delivered_bytes,
+            pfc_pauses: self.pfc_pauses,
+        })
+    }
+}
+
 /// Everything a run produces.
 #[derive(Default)]
 pub struct SimOutput {
@@ -123,7 +196,7 @@ pub struct Simulator {
     pub routes: RoutingTables,
     pub hosts: Vec<NodeId>,
     pub flows: Vec<FlowSpec>,
-    pub paths: Vec<Option<FlowPath>>,
+    pub paths: Vec<FlowPath>,
     factory: Box<dyn CcFactory>,
     /// Per-link ECN samplers: each egress draws from its own substream
     /// keyed by `(cfg.seed ⊕ ECN_STREAM_SALT, link id)`, so the draw
@@ -132,7 +205,7 @@ pub struct Simulator {
     /// lets a sharded run reproduce the single-threaded mark pattern.
     ecn_rngs: Vec<Xoshiro256StarStar>,
     /// Shard context when this simulator runs as one shard of a
-    /// [`crate::shard::ShardedSim`]; `None` in ordinary runs.
+    /// [`crate::shard::run_sharded`] run; `None` in ordinary runs.
     pub shard: Option<crate::shard::ShardCtx>,
     /// Packet-id source plus the recycled heap boxes (packets and INT
     /// stacks) that make the steady-state data path allocation-free: a
@@ -157,15 +230,13 @@ pub struct Simulator {
     /// Survives send-state GC; the finalize backfill uses it to avoid
     /// mislabeling a delivered cross-shard flow as unfinished.
     sender_done: Vec<bool>,
-    /// Monotone count of sender-side give-ups (never decremented, even
-    /// if a straggling completion later supersedes the failure): one
-    /// half of the watchdog's progress metric.
-    pub giveup_count: u64,
+    /// Monotone count of sender-side give-ups ([`Progress::giveups`]).
+    giveup_count: u64,
     /// Sim time of the last in-order byte delivered at any receiver
     /// this engine owns.
-    pub last_progress_at: Time,
+    last_progress_at: Time,
     /// In-order bytes delivered at receivers this engine owns.
-    pub delivered_total: u64,
+    delivered_total: u64,
     /// Optional flight recorder (see [`crate::trace`]). Off by default.
     pub trace: Option<Trace>,
     /// Fabric invariant auditor (see [`crate::audit`]). Observation-only:
@@ -434,7 +505,7 @@ impl Simulator {
         self.flow_end.push(None);
         self.sender_done.push(false);
         let path = self.resolve_path(&spec);
-        self.paths.push(Some(path));
+        self.paths.push(path);
         let env = CcEnv {
             flow: spec,
             path,
@@ -506,12 +577,6 @@ impl Simulator {
         self.events
             .peek_time()
             .is_some_and(|t| t <= self.cfg.stop_time)
-    }
-
-    /// Finalize a sharded run's statistics (the shard runner calls this
-    /// once, after the last barrier).
-    pub(crate) fn finalize_shard(&mut self) {
-        self.finalize();
     }
 
     /// Hop-by-hop links a flow will take (ECMP-resolved).
@@ -608,7 +673,9 @@ impl Simulator {
         self.out.fcts.len() == self.flows.len()
     }
 
-    fn finalize(&mut self) {
+    /// Aggregate the run's statistics and outcomes into `out` (the shard
+    /// runner calls this once per shard, after the last barrier).
+    pub(crate) fn finalize(&mut self) {
         #[cfg(feature = "audit")]
         self.audit_drain_check();
         self.out.finished_at = self.now;
@@ -699,16 +766,15 @@ impl Simulator {
         }
     }
 
-    /// Flows not yet accounted finished: registered, minus receiver
-    /// completions, minus sender give-ups. Both engines compute this
-    /// from the same monotone counters, so the single-threaded and
-    /// sharded watchdogs reach the identical verdict. (A flow whose
-    /// receiver completes *after* its sender gave up is counted by
-    /// both counters and the metric under-counts by one —
-    /// deterministically, and only in a corner no healthy run
-    /// reaches.)
-    pub fn unfinished_metric(&self) -> u64 {
-        (self.flows.len() as u64).saturating_sub(self.out.fcts.len() as u64 + self.giveup_count)
+    /// This engine's liveness snapshot.
+    pub(crate) fn progress(&self) -> Progress {
+        Progress {
+            last_progress_at: self.last_progress_at,
+            delivered_bytes: self.delivered_total,
+            completed: self.out.fcts.len() as u64,
+            giveups: self.giveup_count,
+            pfc_pauses: self.out.pfc_events.len() as u64,
+        }
     }
 
     /// Write a flow's end-state slot. First writer wins, with one
@@ -804,43 +870,32 @@ impl Simulator {
     /// itself; the sharded merge compares shard verdicts instead.
     #[cfg(feature = "audit")]
     fn audit_watchdog_check(&self) {
-        if self.shard.is_some() || self.cfg.watchdog_window == 0 || self.out.watchdog.is_some() {
+        if self.shard.is_some() || self.out.watchdog.is_some() {
             return;
         }
-        let deadline = self.last_progress_at + self.cfg.watchdog_window;
-        if self.now > deadline && self.unfinished_metric() > 0 {
+        let (flows, window) = (self.flows.len() as u64, self.cfg.watchdog_window);
+        if let Liveness::Stalled(r) = self.progress().verdict(flows, window, self.now) {
             panic!(
                 "AUDIT VIOLATION: no receiver progress since {} (window {}, now {}) \
                  with {} unfinished flows, but the watchdog never reported",
-                self.last_progress_at,
-                self.cfg.watchdog_window,
-                self.now,
-                self.unfinished_metric()
+                r.last_progress_at, r.window, self.now, r.unfinished_flows
             );
         }
     }
 
     /// Process one event.
     pub fn step(&mut self) {
-        // Liveness watchdog, single-threaded engine (a sharded run
-        // reaches the same verdict by consensus at window barriers —
-        // see `shard::run_one_shard`). Checked against the *next*
-        // event time before popping: the stall is declared at exactly
-        // `last_progress_at + window`, before any later event runs, so
-        // the report and failure timestamps are identical at every
-        // shard count.
-        if self.shard.is_none() && self.cfg.watchdog_window > 0 && self.out.watchdog.is_none() {
-            if let Some(t) = self.events.peek_time() {
-                let deadline = self.last_progress_at + self.cfg.watchdog_window;
-                if t > deadline && t <= self.cfg.stop_time && self.unfinished_metric() > 0 {
-                    let report = WatchdogReport {
-                        stalled_at: deadline,
-                        last_progress_at: self.last_progress_at,
-                        window: self.cfg.watchdog_window,
-                        unfinished_flows: self.unfinished_metric() as u32,
-                        delivered_bytes: self.delivered_total,
-                        pfc_pauses: self.out.pfc_events.len() as u64,
-                    };
+        // The liveness rule (`Progress::verdict`) on the single-threaded
+        // engine, applied to the *next* event before popping it, so the
+        // stall is declared at exactly the deadline, before any later
+        // event runs. A sharded run applies it to the merged snapshot at
+        // window barriers (`shard::run_one_shard`). The window test
+        // first skips the peek while the watchdog is off.
+        let window = self.cfg.watchdog_window;
+        if window > 0 && self.shard.is_none() && self.out.watchdog.is_none() {
+            if let Some(t) = self.events.peek_time().filter(|&t| t <= self.cfg.stop_time) {
+                let flows = self.flows.len() as u64;
+                if let Liveness::Stalled(report) = self.progress().verdict(flows, window, t) {
                     self.declare_stall(report);
                 }
             }
@@ -952,7 +1007,7 @@ impl Simulator {
             dst: spec.dst,
             size_bytes: spec.size_bytes,
         });
-        let path = self.paths[fid.index()].expect("path resolved at registration");
+        let path = self.paths[fid.index()];
         let env = CcEnv {
             flow: spec,
             path,
@@ -1663,31 +1718,14 @@ impl Simulator {
     // Introspection helpers for scenarios and tests
     // -----------------------------------------------------------------
 
-    /// Total bytes delivered to all receivers.
+    /// Total in-order bytes delivered to the receivers this engine owns.
     pub fn total_delivered(&self) -> u64 {
-        self.flows
-            .iter()
-            .filter_map(|f| {
-                self.nodes[f.dst.index()]
-                    .as_host()
-                    .and_then(|h| h.recv_flow(f.id))
-                    .map(|r| r.expected)
-            })
-            .sum()
+        self.delivered_total
     }
 
-    /// Total PFC pauses across all switches.
-    pub fn total_pfc_pauses(&self) -> u64 {
-        self.nodes
-            .iter()
-            .filter_map(|n| n.as_switch())
-            .map(|s| s.pfc_pause_count())
-            .sum()
-    }
-
-    /// The resolved path of a flow, if it has started.
+    /// The resolved path of a registered flow (`None` for an unknown id).
     pub fn flow_path(&self, f: FlowId) -> Option<FlowPath> {
-        self.paths.get(f.index()).copied().flatten()
+        self.paths.get(f.index()).copied()
     }
 }
 
@@ -1730,6 +1768,37 @@ mod tests {
         assert!(fct < ideal + 20 * US, "fct {fct} ≫ ideal {ideal}");
         assert_eq!(sim.out.total_dropped(), 0);
         assert_eq!(sim.out.retransmits, 0);
+    }
+
+    #[test]
+    fn liveness_rule_boundaries() {
+        // (last progress, delivered, completed, give-ups, PFC pauses)
+        let p = |at, delivered_bytes, completed, giveups, pfc_pauses| Progress {
+            last_progress_at: at * US,
+            delivered_bytes,
+            completed,
+            giveups,
+            pfc_pauses,
+        };
+        let (a, b) = (p(10, 5_000, 1, 1, 3), p(4, 1_000, 1, 0, 2));
+        let merged = a.merge(b);
+        assert_eq!(merged, p(10, 6_000, 2, 1, 5));
+        assert_eq!(b.merge(a), merged, "merge is order-free");
+        let (flows, window, deadline) = (4, 2 * US, 12 * US);
+        // An event exactly at the deadline still runs: the window ends
+        // just past it.
+        let until = merged.verdict(flows, window, deadline);
+        assert_eq!(until, Liveness::Until(deadline + 1));
+        // One tick later the run is stalled, at exactly the deadline.
+        let Liveness::Stalled(r) = merged.verdict(flows, window, deadline + 1) else {
+            panic!("past the deadline with a flow outstanding must stall");
+        };
+        assert_eq!((r.stalled_at, r.last_progress_at), (deadline, 10 * US));
+        assert_eq!((r.window, r.unfinished_flows), (window, 1));
+        assert_eq!((r.delivered_bytes, r.pfc_pauses), (6_000, 5));
+        // Nothing outstanding, or the watchdog off: no deadline applies.
+        assert_eq!(merged.verdict(3, window, deadline + 1), Liveness::Unbounded);
+        assert_eq!(merged.verdict(flows, 0, deadline + 1), Liveness::Unbounded);
     }
 
     #[test]
@@ -1840,7 +1909,7 @@ mod tests {
         sim.add_flow(h0, h1, 2_000_000, 0);
         sim.add_flow(h2, h1, 2_000_000, 0);
         assert!(sim.run_until_flows_complete());
-        assert!(sim.total_pfc_pauses() > 0, "incast must trigger PFC");
+        assert!(!sim.out.pfc_events.is_empty(), "incast must trigger PFC");
         assert_eq!(sim.out.buffer_drops, 0, "PFC prevents loss");
         assert!(!sim.out.pfc_events.is_empty());
     }

@@ -1,10 +1,10 @@
-//! Flight recorder: an optional, bounded, filterable event trace.
+//! Flight recorder: an optional, bounded event trace.
 //!
 //! Congestion-control bugs in a packet simulator are miserable to debug
 //! from aggregates alone. The tracer records a compact record per
 //! noteworthy event — flow lifecycle, drops, PFC transitions, per-flow
-//! packet milestones — into a bounded ring, optionally filtered to one
-//! flow. It is off by default and costs one branch per hook when off.
+//! packet milestones — into a bounded ring. It is off by default and
+//! costs one branch per hook when off.
 
 use std::collections::VecDeque;
 
@@ -96,9 +96,6 @@ pub struct TraceRecord {
 pub struct Trace {
     records: VecDeque<TraceRecord>,
     capacity: usize,
-    /// Restrict flow-scoped events to this flow (node-scoped events like
-    /// PFC are always kept).
-    pub flow_filter: Option<FlowId>,
     /// Records discarded because the ring was full.
     pub dropped_records: u64,
 }
@@ -125,44 +122,12 @@ impl Trace {
         Trace {
             records: VecDeque::with_capacity(prealloc.min(capacity)),
             capacity,
-            flow_filter: None,
             dropped_records: 0,
-        }
-    }
-
-    /// Keep only events of `flow` (plus node-scoped events).
-    pub fn with_flow_filter(mut self, flow: FlowId) -> Self {
-        self.flow_filter = Some(flow);
-        self
-    }
-
-    fn admits(&self, event: &TraceEvent) -> bool {
-        let Some(want) = self.flow_filter else {
-            return true;
-        };
-        match event {
-            TraceEvent::FlowStarted { flow, .. }
-            | TraceEvent::FlowCompleted { flow, .. }
-            | TraceEvent::PacketDropped { flow, .. }
-            | TraceEvent::Retransmit { flow, .. }
-            | TraceEvent::PfqCreated { flow, .. }
-            | TraceEvent::PacketLost { flow, .. }
-            | TraceEvent::PacketBlackholed { flow, .. }
-            | TraceEvent::FlowFailed { flow, .. } => *flow == want,
-            TraceEvent::PfcPause { .. }
-            | TraceEvent::PfcResume { .. }
-            | TraceEvent::LinkDown { .. }
-            | TraceEvent::LinkUp { .. }
-            | TraceEvent::NodeDown { .. }
-            | TraceEvent::NodeUp { .. } => true,
         }
     }
 
     /// Record an event.
     pub fn record(&mut self, t: Time, event: TraceEvent) {
-        if !self.admits(&event) {
-            return;
-        }
         if self.records.len() == self.capacity {
             self.records.pop_front();
             self.dropped_records += 1;
@@ -239,22 +204,6 @@ mod tests {
         assert_eq!(t.dropped_records, 2);
         let first = t.records().next().unwrap();
         assert_eq!(first.t, 2, "oldest two were evicted");
-    }
-
-    #[test]
-    fn flow_filter_keeps_node_events() {
-        let mut t = Trace::new(16).with_flow_filter(FlowId(7));
-        t.record(0, started(1)); // filtered out
-        t.record(1, started(7)); // kept
-        t.record(
-            2,
-            TraceEvent::PfcPause {
-                at: NodeId(3),
-                ingress: LinkId(0),
-            },
-        ); // node-scoped: kept
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.count(|e| matches!(e, TraceEvent::PfcPause { .. })), 1);
     }
 
     #[test]

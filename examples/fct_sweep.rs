@@ -65,7 +65,7 @@ fn run(factory: Box<dyn CcFactory>, dci: DciFeatures) -> FctBreakdown {
         "  ({} flows, {} completed, {} PFC pauses)",
         reqs.len(),
         sim.out.fcts.len(),
-        sim.total_pfc_pauses()
+        sim.out.pfc_events.len()
     );
     FctBreakdown::new(&sim.out.fcts)
 }

@@ -49,7 +49,7 @@ fn main() {
     println!(
         "events processed: {}, PFC pauses: {}, drops: {}",
         sim.out.events_processed,
-        sim.total_pfc_pauses(),
+        sim.out.pfc_events.len(),
         sim.out.total_dropped()
     );
 

@@ -59,7 +59,7 @@ fn auto_headroom_makes_random_incasts_lossless() {
         assert!(sim.run_until_flows_complete(), "{ctx}: must complete");
         assert_eq!(sim.out.buffer_drops, 0, "{ctx}: must be lossless");
         assert!(
-            sim.total_pfc_pauses() > 0,
+            !sim.out.pfc_events.is_empty(),
             "{ctx}: the incast must actually engage PFC"
         );
     }
