@@ -9,7 +9,7 @@
 //! allowed when under-utilized.
 
 use netsim::cc::{clamp_rate, AckView, SenderCc};
-use netsim::int::HopHistory;
+use netsim::int::{HopHistory, STALE_RTT_MULTIPLE};
 use netsim::units::{bytes_in, Bandwidth, Time, SEC};
 
 /// HPCC parameters (paper defaults).
@@ -87,7 +87,6 @@ impl SenderCc for Hpcc {
     fn on_ack(&mut self, ack: &AckView<'_>) {
         // Age out telemetry across a dark period: re-prime instead of
         // differencing a record pair that straddles the gap.
-        const STALE_RTT_MULTIPLE: u64 = 16;
         if self
             .last_int
             .is_some_and(|t| ack.now.saturating_sub(t) > STALE_RTT_MULTIPLE * self.base_rtt)

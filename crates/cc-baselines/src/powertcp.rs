@@ -10,7 +10,7 @@
 //! its derivative — PowerTCP's key advantage over HPCC on transients.
 
 use netsim::cc::{clamp_rate, AckView, SenderCc};
-use netsim::int::IntHop;
+use netsim::int::{HopHistory, IntHop};
 use netsim::units::{bytes_in, rate_bps, Bandwidth, Time, SEC};
 
 /// PowerTCP parameters (paper defaults).
@@ -41,8 +41,8 @@ pub struct PowerTcp {
     w_max: f64,
     beta: f64,
     w: f64,
-    /// Previous INT record per hop id (only a handful of hops per path).
-    prev: Vec<IntHop>,
+    /// Previous INT record per hop.
+    hops: HopHistory,
 }
 
 impl PowerTcp {
@@ -56,7 +56,7 @@ impl PowerTcp {
             w_max,
             beta,
             w: w_max,
-            prev: Vec::new(),
+            hops: HopHistory::new(),
         }
     }
 
@@ -64,43 +64,37 @@ impl PowerTcp {
     pub fn window(&self) -> f64 {
         self.w
     }
+}
 
-    /// Normalized power of one hop given its previous record.
-    fn hop_power(&self, prev: &IntHop, cur: &IntHop) -> Option<f64> {
-        if cur.ts <= prev.ts || cur.hop_id != prev.hop_id {
-            return None;
-        }
-        let dt = (cur.ts - prev.ts) as f64 / SEC as f64;
-        let dq_bits = (cur.qlen_bytes as f64 - prev.qlen_bytes as f64) * 8.0;
-        let tx = rate_bps(cur.tx_bytes.saturating_sub(prev.tx_bytes), cur.ts - prev.ts);
-        let lambda = (dq_bits / dt + tx).max(0.0);
-        let c = cur.link_bps as f64;
-        let tau = self.base_rtt as f64 / SEC as f64;
-        let v = cur.qlen_bytes as f64 * 8.0 + c * tau;
-        let base = c * (c * tau);
-        if base <= 0.0 {
-            return None;
-        }
-        Some((lambda * v / base).max(1e-3))
+/// Normalized power of one hop given its previous record from the same
+/// hop, for a flow with base RTT `base_rtt`.
+fn hop_power(base_rtt: Time, cur: &IntHop, prev: &IntHop) -> Option<f64> {
+    if cur.ts <= prev.ts {
+        return None;
     }
+    let dt = (cur.ts - prev.ts) as f64 / SEC as f64;
+    let dq_bits = (cur.qlen_bytes as f64 - prev.qlen_bytes as f64) * 8.0;
+    let tx = rate_bps(cur.tx_bytes.saturating_sub(prev.tx_bytes), cur.ts - prev.ts);
+    let lambda = (dq_bits / dt + tx).max(0.0);
+    let c = cur.link_bps as f64;
+    let tau = base_rtt as f64 / SEC as f64;
+    let v = cur.qlen_bytes as f64 * 8.0 + c * tau;
+    let base = c * (c * tau);
+    if base <= 0.0 {
+        return None;
+    }
+    Some((lambda * v / base).max(1e-3))
 }
 
 impl SenderCc for PowerTcp {
     fn on_ack(&mut self, ack: &AckView<'_>) {
         // Bottleneck = maximum normalized power across hops.
-        let mut gamma_norm: Option<f64> = None;
-        for hop in ack.int.hops() {
-            match self.prev.iter().position(|p| p.hop_id == hop.hop_id) {
-                Some(i) => {
-                    let prev = self.prev[i];
-                    if let Some(p) = self.hop_power(&prev, hop) {
-                        gamma_norm = Some(gamma_norm.map_or(p, |g: f64| g.max(p)));
-                    }
-                    self.prev[i] = *hop;
-                }
-                None => self.prev.push(*hop),
-            }
-        }
+        let base_rtt = self.base_rtt;
+        let gamma_norm = self.hops.max_over(
+            ack.int,
+            |_| true,
+            |cur, prev| hop_power(base_rtt, cur, prev),
+        );
         let Some(g) = gamma_norm else {
             return;
         };

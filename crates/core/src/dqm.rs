@@ -53,7 +53,7 @@ impl Dqm {
             r_dqm_hist: VecDeque::with_capacity(n),
             r_credit_hist: VecDeque::with_capacity(p.m),
             r_dqm: cap_bps as f64,
-            smoother: TokenSmoother::new(p.alpha, mtu_wire_bytes, rtt_c, cap_bps),
+            smoother: TokenSmoother::new(p.alpha, mtu_wire_bytes, rtt_c),
             q_c_bytes: 0,
             last_d_pre_secs: 0.0,
         }

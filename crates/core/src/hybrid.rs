@@ -1,13 +1,19 @@
-//! Hybrid operation — MLCC's loops wrapped around an existing CCA.
+//! The DQM governor (Eq. 10), and hybrid operation — MLCC's loops
+//! wrapped around an existing CCA.
+//!
+//! [`DqmGoverned`] wraps any [`SenderCc`] with the end-to-end loop's
+//! ceiling: the inner algorithm produces its own rate, and a cross-DC
+//! flow sends at `min(inner, R̄_DQM)`. This is the one place Eq. 10 is
+//! computed. MLCC's own sender is the governor over its near-source
+//! loop ([`MlccSender`](crate::sender::MlccSender)).
 //!
 //! §5 and the conclusion of the paper claim MLCC "can be compatible with
 //! existing methods on different loops": the DCI data plane (PFQ +
 //! credit dequeue + DQM advertisements) works regardless of what
 //! algorithm the *sender* runs end-to-end, as long as the sender honours
-//! the advertised `R̄_DQM` ceiling. [`DqmGoverned`] wraps any
-//! [`SenderCc`] with exactly that: the inner algorithm produces its own
-//! rate, and the effective rate is `min(inner, R̄_DQM)` (Eq. 10 with
-//! `R_NS` replaced by the legacy algorithm's rate).
+//! the advertised `R̄_DQM` ceiling. [`HybridFactory`] builds exactly
+//! that: the same governor over a legacy sender (Eq. 10 with `R_NS`
+//! replaced by the legacy algorithm's rate).
 
 use netsim::cc::{AckView, CcEnv, CcFactory, ReceiverCc, SenderCc};
 use netsim::int::IntStack;
@@ -32,12 +38,12 @@ impl<S: SenderCc> DqmGoverned<S> {
         }
     }
 
-    /// The wrapped algorithm.
+    /// The wrapped algorithm (MLCC: the near-source loop, R_NS).
     pub fn inner(&self) -> &S {
         &self.inner
     }
 
-    /// Current DQM ceiling.
+    /// Current DQM ceiling, R̄_DQM.
     pub fn ceiling_bps(&self) -> f64 {
         self.r_dqm_bar
     }
@@ -71,6 +77,7 @@ impl<S: SenderCc> SenderCc for DqmGoverned<S> {
 
     fn rate_bps(&self) -> f64 {
         if self.cross_dc {
+            // Eq. 10.
             self.inner.rate_bps().min(self.r_dqm_bar)
         } else {
             self.inner.rate_bps()
@@ -85,8 +92,9 @@ impl<S: SenderCc> SenderCc for DqmGoverned<S> {
         self.inner.next_timer()
     }
 
+    /// The wrapped algorithm's name: the MLCC sender reports "mlcc".
     fn name(&self) -> &'static str {
-        "dqm-governed"
+        self.inner.name()
     }
 }
 
@@ -120,15 +128,7 @@ impl<F: CcFactory> CcFactory for HybridFactory<F> {
 
     fn receiver(&self, env: &CcEnv) -> Box<dyn ReceiverCc> {
         if env.path.cross_dc {
-            let mtu_wire = env.mtu_bytes + netsim::packet::DATA_HEADER_BYTES;
-            Box::new(MlccReceiver::new(
-                self.params,
-                env.path.bottleneck_bps,
-                env.path.base_rtt,
-                env.path.dst_dc_rtt,
-                mtu_wire,
-                true,
-            ))
+            Box::new(MlccReceiver::for_cross_dc(self.params, env))
         } else {
             // Intra-DC flows keep the legacy algorithm's receiver (e.g.
             // DCQCN's CNP generation).

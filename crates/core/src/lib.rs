@@ -24,8 +24,10 @@
 //! * **DQM** (§3.3.1, Algorithm 2): [`dqm::Dqm`] predicts the DCI queue
 //!   one cross-DC RTT ahead (Eq. 1–4), derates the sender (Eq. 5), and
 //!   smooths with a token bucket (Eq. 6–9, [`token::TokenSmoother`]).
-//! * **End-to-end combine** (§3.3.2): [`sender::MlccSender`] sends at
-//!   `min(R_NS, R̄_DQM)` (Eq. 10).
+//! * **End-to-end combine** (§3.3.2): [`MlccSender`] is the DQM governor
+//!   [`DqmGoverned`] over the near-source loop [`NearSource`]; it sends
+//!   at `min(R_NS, R̄_DQM)` (Eq. 10), the same combine the hybrid applies
+//!   to a legacy sender.
 //!
 //! The data-plane mechanics (PFQ, credit stamping, Switch-INT emission)
 //! live in `netsim`'s DCI switch; enable them with
@@ -40,7 +42,7 @@ pub mod receiver;
 pub mod sender;
 pub mod token;
 
-use netsim::cc::{CcEnv, CcFactory, ReceiverCc, SenderCc};
+use netsim::cc::{CcEnv, CcFactory, IntEchoReceiver, ReceiverCc, SenderCc};
 
 pub use credit::{CreditLoop, CreditRound};
 pub use dqm::Dqm;
@@ -48,7 +50,7 @@ pub use hybrid::{DqmGoverned, HybridFactory};
 pub use params::MlccParams;
 pub use rate_ctl::{HopFilter, IntRateController};
 pub use receiver::MlccReceiver;
-pub use sender::MlccSender;
+pub use sender::{MlccSender, NearSource};
 pub use token::TokenSmoother;
 
 /// Factory wiring MLCC senders and receivers per flow.
@@ -65,36 +67,36 @@ impl MlccFactory {
     pub fn new(params: MlccParams) -> Self {
         MlccFactory { params }
     }
+
+    /// The MLCC sender of the flow `env` describes. The near-source
+    /// loop runs over the sender-side DC RTT on cross-DC flows and over
+    /// the path RTT on intra-DC flows.
+    fn mlcc_sender(&self, env: &CcEnv) -> MlccSender {
+        let path = &env.path;
+        let loop_rtt = if path.cross_dc {
+            path.src_dc_rtt
+        } else {
+            path.base_rtt
+        };
+        let ns = NearSource::new(&self.params, path.line_rate_bps, loop_rtt, path.cross_dc);
+        DqmGoverned::new(ns, path.line_rate_bps, path.cross_dc)
+    }
 }
 
 impl CcFactory for MlccFactory {
     fn sender(&self, env: &CcEnv) -> Box<dyn SenderCc> {
-        let loop_rtt = if env.path.cross_dc {
-            env.path.src_dc_rtt
-        } else {
-            env.path.base_rtt
-        };
-        Box::new(MlccSender::new(
-            &self.params,
-            env.path.line_rate_bps,
-            loop_rtt,
-            env.path.cross_dc,
-        ))
+        Box::new(self.mlcc_sender(env))
     }
 
+    /// Cross-DC flows run the credit loop and DQM; intra-DC flows run
+    /// the short end-to-end INT loop, whose receiver just echoes the
+    /// stack.
     fn receiver(&self, env: &CcEnv) -> Box<dyn ReceiverCc> {
-        let mtu_wire = env.mtu_bytes + netsim::packet::DATA_HEADER_BYTES;
-        // The receiver-side structural bottleneck caps R_credit; for the
-        // common case that is the destination NIC rate, conservatively
-        // approximated by the path bottleneck.
-        Box::new(MlccReceiver::new(
-            self.params,
-            env.path.bottleneck_bps,
-            env.path.base_rtt,
-            env.path.dst_dc_rtt,
-            mtu_wire,
-            env.path.cross_dc,
-        ))
+        if env.path.cross_dc {
+            Box::new(MlccReceiver::for_cross_dc(self.params, env))
+        } else {
+            Box::new(IntEchoReceiver)
+        }
     }
 
     fn name(&self) -> &'static str {
@@ -105,9 +107,12 @@ impl CcFactory for MlccFactory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim::cc::AckView;
     use netsim::flow::{FlowPath, FlowSpec};
+    use netsim::int::{IntHop, IntStack};
+    use netsim::packet::Packet;
     use netsim::types::{FlowId, NodeId};
-    use netsim::units::{GBPS, MS, US};
+    use netsim::units::{bytes_in, Time, GBPS, MS, US};
 
     fn env(cross: bool) -> CcEnv {
         CcEnv {
@@ -139,6 +144,71 @@ mod tests {
         assert_eq!(s.rate_bps(), 25e9);
         let _r = f.receiver(&env(true));
         let _s2 = f.sender(&env(false));
+    }
+
+    fn hop(ts: Time, qlen: u64, tx: u64, is_dci: bool) -> IntHop {
+        IntHop {
+            hop_id: if is_dci { 50 } else { 1 },
+            ts,
+            qlen_bytes: qlen,
+            tx_bytes: tx,
+            link_bps: 25 * GBPS,
+            is_dci,
+        }
+    }
+
+    #[test]
+    fn receivers_run_loops_only_for_cross_dc_flows() {
+        let f = MlccFactory::default();
+        // The first packet a PFQ credited (C_D = 0) closes a credit round.
+        let mut pkt = Packet::data(1, FlowId(0), NodeId(0), NodeId(1), 0, 1000, 0);
+        pkt.mlcc.set_c_d(Some(0));
+        pkt.push_hop(hop(0, 0, 0, true));
+        pkt.push_hop(hop(0, 0, 0, false));
+
+        let intra = f.receiver(&env(false)).on_data(&pkt, 0);
+        assert!(intra.echo_int, "the intra-DC INT loop needs the stack");
+        assert!(intra.mlcc.c_r().is_none());
+        assert!(intra.mlcc.r_credit_bps().is_none());
+        assert!(intra.mlcc.r_dqm_bps().is_none());
+
+        let cross = f.receiver(&env(true)).on_data(&pkt, 0);
+        assert!(!cross.echo_int);
+        assert_eq!(cross.mlcc.c_r(), Some(1));
+        assert!(cross.mlcc.r_credit_bps().is_some());
+        assert!(cross.mlcc.r_dqm_bps().is_some());
+    }
+
+    #[test]
+    fn cross_dc_sender_sends_at_eq10() {
+        let f = MlccFactory::default();
+        let mut s = f.mlcc_sender(&env(true));
+        let eq10 = |s: &MlccSender| s.inner().rate_bps().min(s.ceiling_bps());
+        let empty = IntStack::new();
+        let ack = |r_dqm, now| AckView {
+            seq: 1,
+            ecn_echo: false,
+            rtt_sample: Some(6 * MS),
+            int: &empty,
+            r_dqm_bps: Some(r_dqm),
+            now,
+        };
+        // R̄_DQM binds.
+        s.on_ack(&ack(5_000_000_000, 0));
+        assert_eq!(s.ceiling_bps(), 5e9);
+        assert_eq!(s.rate_bps(), 5e9);
+        assert_eq!(s.rate_bps(), eq10(&s));
+        // Switch-INT from a congested sender-side hop pushes R_NS under it.
+        let t = 20 * US;
+        let q = 10 * bytes_in(t, 25 * GBPS);
+        for i in 0..=20u64 {
+            let mut int = IntStack::new();
+            int.push(hop(i * t, q, i * bytes_in(t, 25 * GBPS), false));
+            s.on_switch_int(&int, i * t);
+        }
+        assert!(s.inner().rate_bps() < 5e9, "{}", s.inner().rate_bps());
+        assert_eq!(s.rate_bps(), s.inner().rate_bps());
+        assert_eq!(s.rate_bps(), eq10(&s));
     }
 
     #[test]

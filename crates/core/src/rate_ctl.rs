@@ -7,7 +7,7 @@
 //! loop — that is the paper's "micro congestion control loop".
 
 use netsim::cc::MIN_SEND_RATE_BPS;
-use netsim::int::{HopHistory, IntStack};
+use netsim::int::{HopHistory, IntStack, STALE_RTT_MULTIPLE};
 use netsim::units::Time;
 
 use crate::params::MlccParams;
@@ -20,13 +20,6 @@ pub enum HopFilter {
     /// Only non-DCI hops (the credit loop: the DCI queue belongs to DQM).
     ExcludeDci,
 }
-
-/// Telemetry older than this many loop base RTTs is stale: the
-/// controller stops trusting MIMD against it and its hop history is
-/// discarded, because per-hop deltas spanning a dark period (loss burst,
-/// link flap) mix pre-gap queue samples with post-gap counters and
-/// produce garbage utilization estimates.
-pub const STALE_RTT_MULTIPLE: u64 = 16;
 
 /// MIMD rate controller over per-hop INT utilization.
 pub struct IntRateController {

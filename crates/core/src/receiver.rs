@@ -1,18 +1,20 @@
-//! The MLCC receiver: glues the credit loop (Algorithm 1) and DQM
-//! (Algorithm 2) together and emits the ACK fields the DCI switch and the
-//! sender consume.
+//! The MLCC receiver of a cross-DC flow: glues the credit loop
+//! (Algorithm 1) and DQM (Algorithm 2) together and emits the ACK fields
+//! the DCI switch and the sender consume.
+//!
+//! Intra-DC MLCC flows have no DCI on their path and run neither loop:
+//! their receiver is [`netsim::cc::IntEchoReceiver`].
 
-use netsim::cc::{AckFields, ReceiverCc};
-use netsim::packet::Packet;
+use netsim::cc::{AckFields, CcEnv, ReceiverCc};
+use netsim::packet::{Packet, DATA_HEADER_BYTES};
 use netsim::units::Time;
 
 use crate::credit::CreditLoop;
 use crate::dqm::Dqm;
 use crate::params::MlccParams;
 
-/// MLCC receiver state for one flow.
+/// MLCC receiver state for one cross-DC flow.
 pub struct MlccReceiver {
-    cross_dc: bool,
     dqm_enabled: bool,
     credit: CreditLoop,
     dqm: Dqm,
@@ -22,38 +24,35 @@ impl MlccReceiver {
     /// `cap_bps` bounds the dequeue/DQM rates (the receiver's access
     /// bottleneck); `rtt_c`/`rtt_d` are the cross-DC and receiver-side
     /// loop RTTs.
-    pub fn new(
-        p: MlccParams,
-        cap_bps: u64,
-        rtt_c: Time,
-        rtt_d: Time,
-        mtu_wire_bytes: u32,
-        cross_dc: bool,
-    ) -> Self {
+    pub fn new(p: MlccParams, cap_bps: u64, rtt_c: Time, rtt_d: Time, mtu_wire_bytes: u32) -> Self {
         MlccReceiver {
-            cross_dc,
             dqm_enabled: p.dqm_enabled,
             credit: CreditLoop::new(&p, cap_bps, rtt_d),
             dqm: Dqm::new(p, rtt_c, rtt_d, mtu_wire_bytes, cap_bps),
         }
     }
 
-    /// Completed credit rounds (diagnostics).
-    pub fn rounds(&self) -> u64 {
-        self.credit.rounds
+    /// The receiver loops of the cross-DC flow `env` describes; both
+    /// [`MlccFactory`](crate::MlccFactory) and
+    /// [`HybridFactory`](crate::HybridFactory) build theirs here.
+    ///
+    /// The receiver-side structural bottleneck caps R_credit; for the
+    /// common case that is the destination NIC rate, conservatively
+    /// approximated by the path bottleneck.
+    pub(crate) fn for_cross_dc(p: MlccParams, env: &CcEnv) -> Self {
+        debug_assert!(env.path.cross_dc, "intra-DC flows run no receiver loop");
+        MlccReceiver::new(
+            p,
+            env.path.bottleneck_bps,
+            env.path.base_rtt,
+            env.path.dst_dc_rtt,
+            env.mtu_bytes + DATA_HEADER_BYTES,
+        )
     }
 }
 
 impl ReceiverCc for MlccReceiver {
     fn on_data(&mut self, pkt: &Packet, now: Time) -> AckFields {
-        if !self.cross_dc {
-            // Intra-DC MLCC flows run the short end-to-end INT loop: the
-            // receiver just echoes the stack.
-            return AckFields {
-                echo_int: true,
-                ..AckFields::default()
-            };
-        }
         let mut fields = AckFields::default();
         // Q_c: the DCI per-flow queue length rides in the DCI INT record.
         if let Some(dci_hop) = pkt.int().hops().iter().find(|h| h.is_dci) {
@@ -63,25 +62,11 @@ impl ReceiverCc for MlccReceiver {
             .credit
             .on_data(pkt.int(), pkt.mlcc.c_d(), pkt.size, now)
         {
-            let r_dqm = self.dqm.on_round(round.r_credit_bps);
+            self.dqm.on_round(round.r_credit_bps);
             fields.mlcc.set_c_r(Some(round.c_r));
             fields
                 .mlcc
                 .set_r_credit_bps(Some(round.r_credit_bps as u64));
-            // Diagnostic trace of the control loops (development aid):
-            // MLCC_TRACE=1 prints one line per credit round.
-            if std::env::var_os("MLCC_TRACE").is_some() {
-                eprintln!(
-                    "trace flow={} t_us={:.1} c_r={} r_credit={:.2}G r_dqm={:.2}G d_pre_us={:.0} q_c={}",
-                    pkt.flow,
-                    now as f64 / 1e6,
-                    round.c_r,
-                    round.r_credit_bps / 1e9,
-                    r_dqm / 1e9,
-                    self.dqm.last_d_pre_secs * 1e6,
-                    pkt.int().hops().iter().find(|h| h.is_dci).map_or(0, |h| h.qlen_bytes),
-                );
-            }
         }
         // Per-packet smoothing; every ACK advertises the latest R̄_DQM.
         let r_bar = self.dqm.on_packet(self.credit.r_credit_bps());
@@ -103,8 +88,8 @@ mod tests {
     const RTT_C: Time = 6 * MS;
     const RTT_D: Time = 25 * US;
 
-    fn rx(cross: bool) -> MlccReceiver {
-        MlccReceiver::new(MlccParams::default(), CAP, RTT_C, RTT_D, 1048, cross)
+    fn rx() -> MlccReceiver {
+        MlccReceiver::new(MlccParams::default(), CAP, RTT_C, RTT_D, 1048)
     }
 
     fn pkt(ts: Time, c_d: Option<u32>, dci_q: u64, hop_q: u64, hop_tx: u64) -> Packet {
@@ -130,17 +115,8 @@ mod tests {
     }
 
     #[test]
-    fn intra_flow_echoes_int_only() {
-        let mut r = rx(false);
-        let out = r.on_data(&pkt(0, Some(0), 0, 0, 0), 0);
-        assert!(out.echo_int);
-        assert!(out.mlcc.c_r().is_none());
-        assert!(out.mlcc.r_dqm_bps().is_none());
-    }
-
-    #[test]
     fn cross_flow_advertises_dqm_every_ack() {
-        let mut r = rx(true);
+        let mut r = rx();
         let out = r.on_data(&pkt(0, None, 0, 0, 0), 0);
         assert!(out.mlcc.r_dqm_bps().is_some());
         assert!(out.mlcc.c_r().is_none(), "no round completed yet");
@@ -148,16 +124,15 @@ mod tests {
 
     #[test]
     fn credit_round_emits_cr_and_rcredit() {
-        let mut r = rx(true);
+        let mut r = rx();
         let out = r.on_data(&pkt(0, Some(0), 0, 0, 0), 0);
         assert_eq!(out.mlcc.c_r(), Some(1));
         assert!(out.mlcc.r_credit_bps().is_some());
-        assert_eq!(r.rounds(), 1);
     }
 
     #[test]
     fn dci_queue_feeds_dqm_derating() {
-        let mut r = rx(true);
+        let mut r = rx();
         // Prime round 0.
         r.on_data(&pkt(0, Some(0), 0, 0, 0), 0);
         // Round 1 closes with a 20 ms DCI queue at 25 Gbps.

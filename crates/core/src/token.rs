@@ -24,8 +24,7 @@ pub struct TokenSmoother {
 impl TokenSmoother {
     /// `mtu_wire_bytes` and the cross-DC RTT set the per-step rate
     /// granularity.
-    pub fn new(alpha: f64, mtu_wire_bytes: u32, rtt_c: Time, cap_bps: u64) -> Self {
-        let _ = cap_bps;
+    pub fn new(alpha: f64, mtu_wire_bytes: u32, rtt_c: Time) -> Self {
         let step_bps = mtu_wire_bytes as f64 * 8.0 * (SEC as f64 / rtt_c.max(1) as f64);
         TokenSmoother {
             alpha,
@@ -79,10 +78,10 @@ impl TokenSmoother {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::units::{GBPS, MS};
+    use netsim::units::MS;
 
     fn smoother() -> TokenSmoother {
-        TokenSmoother::new(0.5, 1048, 6 * MS, 25 * GBPS)
+        TokenSmoother::new(0.5, 1048, 6 * MS)
     }
 
     #[test]
@@ -130,7 +129,7 @@ mod tests {
 
     #[test]
     fn step_granularity_matches_eq9() {
-        let s = TokenSmoother::new(0.5, 1048, 6 * MS, 25 * GBPS);
+        let s = TokenSmoother::new(0.5, 1048, 6 * MS);
         // One step = MTU / RTT_C = 1048·8 bits / 6 ms ≈ 1.397 Mbps.
         let one = s.step_bps;
         assert!((one - 1048.0 * 8.0 / 0.006).abs() < 1.0, "{one}");

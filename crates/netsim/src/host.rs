@@ -245,12 +245,6 @@ impl Host {
         self.recv.get(flow).map(|b| b.as_ref())
     }
 
-    /// Number of still-active (not fully acked, not abandoned) sending
-    /// flows.
-    pub fn active_send_flows(&self) -> usize {
-        self.send.values().filter(|f| !f.done && !f.failed).count()
-    }
-
     /// Pick the next data packet under pacing/window constraints.
     ///
     /// `pool` hands out the global packet id and a recycled heap box.
@@ -523,14 +517,6 @@ impl Host {
         let at = now + f.rto_interval();
         f.rto_at = Some(at);
         (verdict, Some(at))
-    }
-
-    /// Current RTO interval of a flow still under supervision.
-    pub fn needs_rto(&self, flow: FlowId) -> Option<Time> {
-        self.send
-            .get(flow)
-            .filter(|f| !f.done && !f.failed)
-            .map(|f| f.rto_interval())
     }
 
     /// Abandon a live sending flow from outside (the watchdog's
@@ -927,8 +913,6 @@ mod tests {
         assert!(f.failed && !f.done);
         assert_eq!(f.stall_checks, 3);
         assert!(f.rto_at.is_none(), "chain must end on give-up");
-        assert!(h.needs_rto(FlowId(0)).is_none());
-        assert_eq!(h.active_send_flows(), 0);
         // A straggler ACK does not resurrect the abandoned flow.
         let ack = Packet::ack_for(99, &p1, 1000, at + MS);
         let out = h.on_ack(&ack, at + MS);
@@ -1047,9 +1031,13 @@ mod tests {
                 }
             }
         }
-        // Fully acked → done → supervision ends.
-        assert!(h.send_flow(FlowId(0)).unwrap().done);
-        assert!(h.needs_rto(FlowId(0)).is_none());
+        // Fully acked → done → supervision ends: a pending check
+        // schedules nothing further.
+        let f = h.send_flow(FlowId(0)).unwrap();
+        assert!(f.done);
+        if let Some(t) = f.rto_at {
+            assert_eq!(h.on_rto_check(FlowId(0), t).1, None);
+        }
     }
 
     #[test]
@@ -1062,7 +1050,7 @@ mod tests {
         };
         let ack = Packet::ack_for(9, &p, 1000, 100);
         h.on_ack(&ack, 100);
-        assert_eq!(h.active_send_flows(), 0);
+        assert!(h.send_flow(FlowId(0)).unwrap().done);
         h.gc_finished();
         assert!(matches!(h.next_data_packet(200, &mut pool), HostTx::Idle));
     }

@@ -1,7 +1,7 @@
 //! In-band network telemetry (INT).
 //!
-//! Every INT-enabled egress pushes one [`IntHop`] record onto the packet as
-//! the packet starts serializing, exactly like the HPCC/Tofino INT model:
+//! Every egress pushes one [`IntHop`] record onto a data packet as the
+//! packet starts serializing, exactly like the HPCC/Tofino INT model:
 //! a timestamp, the queue length left behind, the cumulative bytes ever
 //! transmitted by that egress, and the egress line rate. Receivers (and the
 //! MLCC DCI switch) difference consecutive records from the same hop to
@@ -15,6 +15,13 @@ use crate::units::{rate_bps, Bandwidth, Time};
 /// host → leaf → spine → DCI → DCI → spine → leaf → host = 7 egresses,
 /// and the MLCC DCI strips the stack mid-path, so 8 is comfortable.
 pub const MAX_INT_HOPS: usize = 8;
+
+/// Telemetry older than this many loop base RTTs is stale: a controller
+/// stops trusting it and discards its [`HopHistory`], because per-hop
+/// deltas spanning a dark period (loss burst, link flap) mix pre-gap
+/// queue samples with post-gap counters and produce garbage utilization
+/// estimates. MLCC's INT rate controller and HPCC share this guard.
+pub const STALE_RTT_MULTIPLE: u64 = 16;
 
 /// One hop's telemetry record.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -193,16 +200,23 @@ impl HopHistory {
     ///
     /// `filter` selects which hops participate (e.g. exclude DCI hops when
     /// computing the intra-DC credit rate).
-    pub fn max_utilization<F>(
-        &mut self,
-        stack: &IntStack,
-        t_base: Time,
-        mut filter: F,
-    ) -> Option<f64>
+    pub fn max_utilization<F>(&mut self, stack: &IntStack, t_base: Time, filter: F) -> Option<f64>
     where
         F: FnMut(&IntHop) -> bool,
     {
-        let mut max_u: Option<f64> = None;
+        self.max_over(stack, filter, |cur, prev| cur.utilization(prev, t_base))
+    }
+
+    /// Fold a new stack into the history and return the maximum of
+    /// `metric(current, previous)` over the hops `filter` selects, if any
+    /// hop had a previous record and `metric` produced a value for it.
+    /// A hop's first sighting is only remembered.
+    pub fn max_over<F, M>(&mut self, stack: &IntStack, mut filter: F, mut metric: M) -> Option<f64>
+    where
+        F: FnMut(&IntHop) -> bool,
+        M: FnMut(&IntHop, &IntHop) -> Option<f64>,
+    {
+        let mut max: Option<f64> = None;
         for hop in stack.hops() {
             if !filter(hop) {
                 continue;
@@ -211,15 +225,15 @@ impl HopHistory {
                 .iter_mut()
                 .find(|p| p.hop_id == hop.hop_id)
             {
-                if let Some(u) = hop.utilization(prev, t_base) {
-                    max_u = Some(max_u.map_or(u, |m: f64| m.max(u)));
+                if let Some(m) = metric(hop, prev) {
+                    max = Some(max.map_or(m, |x: f64| x.max(m)));
                 }
                 *prev = *hop;
             } else {
                 self.remember(hop);
             }
         }
-        max_u
+        max
     }
 
     /// Most recent record seen for a given hop, if any.
@@ -343,5 +357,45 @@ mod tests {
         // though the records difference cleanly.
         let u = h.max_utilization(&mk(t, crate::units::bytes_in(t, bw)), t, |hp| !hp.is_dci);
         assert!(u.is_none());
+    }
+
+    #[test]
+    fn max_over_custom_metric() {
+        let mut h = HopHistory::new();
+        let mk = |ts, q1, q2, q9| {
+            let mut s = IntStack::new();
+            s.push(hop(1, ts, q1, 0));
+            s.push(hop(2, ts, q2, 0));
+            let mut d = hop(9, ts, q9, 0);
+            d.is_dci = true;
+            s.push(d);
+            s
+        };
+        // Queue growth per hop; the DCI hop is filtered out.
+        let growth =
+            |cur: &IntHop, prev: &IntHop| Some(cur.qlen_bytes as f64 - prev.qlen_bytes as f64);
+        assert!(
+            h.max_over(&mk(0, 10, 10, 10), |hp| !hp.is_dci, growth)
+                .is_none(),
+            "a first sighting yields nothing"
+        );
+        // Hop 2 grew most among the unfiltered hops; hop 9 grew more but
+        // is filtered.
+        assert_eq!(
+            h.max_over(&mk(5, 13, 40, 1000), |hp| !hp.is_dci, growth),
+            Some(30.0)
+        );
+        // The metric sees the record folded last time, not the first one.
+        assert_eq!(
+            h.max_over(&mk(9, 14, 40, 0), |hp| !hp.is_dci, growth),
+            Some(1.0)
+        );
+        // The filtered hop was never remembered.
+        assert!(h.last(9).is_none());
+        // A metric that declines every pair yields nothing but still folds.
+        assert!(h
+            .max_over(&mk(12, 0, 0, 0), |_| true, |_, _| None)
+            .is_none());
+        assert_eq!(h.last(2).map(|r| r.ts), Some(12));
     }
 }

@@ -13,13 +13,11 @@ use crate::queue::PrioQueues;
 use crate::types::{LinkId, NodeId};
 use crate::units::{tx_time, Bandwidth, Time};
 
-/// Options applied when creating a link.
-#[derive(Clone, Copy, Debug)]
+/// Options applied when creating a link. Every egress pushes INT hop
+/// records on data packets; a long-haul egress marks its records as DCI
+/// records.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct LinkOpts {
-    /// Push INT hop records on data packets at dequeue.
-    pub int_enabled: bool,
-    /// Mark this link's INT records as DCI records.
-    pub int_is_dci: bool,
     /// This is the long-haul DCI↔DCI link.
     pub long_haul: bool,
     /// ECN marking profile for this egress. `None` derives the standard
@@ -27,17 +25,6 @@ pub struct LinkOpts {
     /// switches, so thresholds must scale with the egress rate, not the
     /// switch).
     pub ecn: Option<EcnConfig>,
-}
-
-impl Default for LinkOpts {
-    fn default() -> Self {
-        LinkOpts {
-            int_enabled: true,
-            int_is_dci: false,
-            long_haul: false,
-            ecn: None,
-        }
-    }
 }
 
 /// A unidirectional link plus the egress queue feeding it.

@@ -68,14 +68,6 @@ impl MonitorLog {
         out
     }
 
-    /// Queue-depth series (time, bytes) for the i-th monitored queue.
-    pub fn queue_series(&self, queue_idx: usize) -> Vec<(Time, u64)> {
-        self.samples
-            .iter()
-            .map(|s| (s.t, s.queue_bytes[queue_idx]))
-            .collect()
-    }
-
     /// Sum of several monitored queues per sample — used when a device's
     /// "queue" spans multiple ECMP egresses.
     pub fn queue_sum_series(&self) -> Vec<(Time, u64)> {
@@ -84,41 +76,12 @@ impl MonitorLog {
             .map(|s| (s.t, s.queue_bytes.iter().sum()))
             .collect()
     }
-
-    /// PFC pause increments between samples for the i-th switch.
-    pub fn pfc_increments(&self, switch_idx: usize) -> Vec<(Time, u64)> {
-        let mut out = Vec::new();
-        for w in self.samples.windows(2) {
-            let d = w[1].pfc_pauses[switch_idx].saturating_sub(w[0].pfc_pauses[switch_idx]);
-            out.push((w[1].t, d));
-        }
-        out
-    }
-
-    /// Peak of a queue series.
-    pub fn queue_peak(&self, queue_idx: usize) -> u64 {
-        self.samples
-            .iter()
-            .map(|s| s.queue_bytes[queue_idx])
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Fault-drop increments between samples for the i-th fault link.
-    pub fn fault_drop_increments(&self, link_idx: usize) -> Vec<(Time, u64)> {
-        let mut out = Vec::new();
-        for w in self.samples.windows(2) {
-            let d = w[1].fault_drops[link_idx].saturating_sub(w[0].fault_drops[link_idx]);
-            out.push((w[1].t, d));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::units::{MS, SEC};
+    use crate::units::MS;
 
     fn log_with(samples: Vec<Sample>) -> MonitorLog {
         MonitorLog {
@@ -157,41 +120,11 @@ mod tests {
     }
 
     #[test]
-    fn queue_series_and_peak() {
-        let log = log_with(vec![
-            sample(0, 10, 0, 0),
-            sample(SEC, 50, 0, 0),
-            sample(2 * SEC, 20, 0, 0),
-        ]);
-        assert_eq!(log.queue_peak(0), 50);
-        assert_eq!(log.queue_series(0)[1], (SEC, 50));
-        assert_eq!(log.queue_sum_series()[2], (2 * SEC, 20));
-    }
-
-    #[test]
-    fn fault_drop_increments_from_cumulative() {
-        let mut log = MonitorLog::new(MonitorSpec {
-            fault_links: vec![LinkId(9)],
-            ..MonitorSpec::default()
-        });
-        for (t, d) in [(0, 0), (1, 2), (2, 2), (3, 10)] {
-            let mut s = sample(t, 0, 0, 0);
-            s.fault_drops = vec![d];
-            log.samples.push(s);
-        }
-        let inc = log.fault_drop_increments(0);
-        assert_eq!(inc.iter().map(|x| x.1).collect::<Vec<_>>(), vec![2, 0, 8]);
-    }
-
-    #[test]
-    fn pfc_increments_from_cumulative() {
-        let log = log_with(vec![
-            sample(0, 0, 0, 0),
-            sample(1, 0, 0, 3),
-            sample(2, 0, 0, 3),
-            sample(3, 0, 0, 7),
-        ]);
-        let inc = log.pfc_increments(0);
-        assert_eq!(inc.iter().map(|x| x.1).collect::<Vec<_>>(), vec![3, 0, 4]);
+    fn queue_sum_adds_every_monitored_queue() {
+        let mut log = log_with(vec![sample(0, 10, 0, 0), sample(MS, 50, 0, 0)]);
+        log.spec.queues.push(LinkId(1));
+        log.samples[0].queue_bytes.push(3);
+        log.samples[1].queue_bytes.push(7);
+        assert_eq!(log.queue_sum_series(), vec![(0, 13), (MS, 57)]);
     }
 }

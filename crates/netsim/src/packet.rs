@@ -10,7 +10,7 @@
 //! The header itself is kept hot/cold split and compact:
 //! * the INT stack (the bulk of the old inline layout) lives behind
 //!   `Option<Box<IntStack>>` — data packets only carry a stack after the
-//!   first INT-enabled egress pushes a hop, and the ACK echo takes the
+//!   first egress pushes a hop, and the ACK echo takes the
 //!   stack by move, not copy;
 //! * [`MlccFields`] packs its four optional fields into a presence
 //!   bitflag plus plain integers instead of four `Option`s.
@@ -151,7 +151,7 @@ pub struct Packet {
     pub ts_sent: Time,
     /// In-band telemetry records — the cold half of the packet, kept out
     /// of line so the hot header stays under a cache line. `None` until
-    /// the first INT-enabled egress pushes a hop; moved (never copied)
+    /// the first egress pushes a hop; moved (never copied)
     /// onto the ACK echo or the Switch-INT feedback.
     pub int: Option<Box<IntStack>>,
     /// MLCC credit/rate fields.

@@ -307,11 +307,6 @@ impl PfqSet {
         self.total_bytes
     }
 
-    /// Number of flows with queued packets.
-    pub fn active_flows(&self) -> usize {
-        self.active.len()
-    }
-
     /// Iterate over (flow, queued bytes) for monitoring.
     pub fn per_flow_bytes(&self) -> impl Iterator<Item = (FlowId, u64)> + '_ {
         self.flows.iter().enumerate().filter_map(|(i, s)| {
@@ -376,7 +371,10 @@ mod tests {
         let mut set = PfqSet::new(25 * GBPS, 1048);
         assert!(set.enqueue(pkt(3, 1), 0));
         assert!(!set.enqueue(pkt(3, 2), 10));
-        assert_eq!(set.active_flows(), 1);
+        assert_eq!(
+            set.per_flow_bytes().collect::<Vec<_>>(),
+            vec![(FlowId(3), 2 * 1048)]
+        );
         assert_eq!(set.total_bytes(), 2 * 1048);
     }
 

@@ -1379,7 +1379,7 @@ impl Simulator {
         let dark = self.ctrl_dark(now);
         {
             let lk = &self.links[l.index()];
-            if pkt.is_data() && lk.opts.int_enabled {
+            if pkt.is_data() {
                 if dark {
                     self.out.int_suppressed += 1;
                 } else {
@@ -1397,7 +1397,7 @@ impl Simulator {
                         qlen_bytes: qlen,
                         tx_bytes: lk.tx_bytes,
                         link_bps: lk.bandwidth,
-                        is_dci: lk.opts.int_is_dci || from_pfq,
+                        is_dci: lk.opts.long_haul || from_pfq,
                     };
                     if pkt.int.is_none() {
                         pkt.int = Some(self.pkt_pool.take_int());

@@ -347,8 +347,6 @@ impl TwoDcTopology {
             params.long_haul_link,
             params.long_haul_delay,
             LinkOpts {
-                int_enabled: true,
-                int_is_dci: true,
                 long_haul: true,
                 ecn: Some(params.dci_ecn),
             },
@@ -460,8 +458,6 @@ impl DumbbellTopology {
             params.fabric_link,
             params.long_haul_delay,
             LinkOpts {
-                int_enabled: true,
-                int_is_dci: true,
                 long_haul: true,
                 ecn: Some(EcnConfig::dci_switch()),
             },
@@ -889,8 +885,6 @@ impl MultiDcTopology {
                     params.long_haul_link,
                     params.long_haul_delay,
                     LinkOpts {
-                        int_enabled: true,
-                        int_is_dci: true,
                         long_haul: true,
                         ecn: Some(params.dci_ecn),
                     },

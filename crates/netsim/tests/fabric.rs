@@ -100,10 +100,8 @@ fn int_records_match_the_path() {
 
     let spec = sim.flows[f.index()];
     let links = sim.resolve_path_links(&spec);
-    // Switch egress hops = every path link except the first (the host
-    // uplink, whose egress is at the host and does not push INT... the
-    // host's uplink *is* INT-enabled but owned by a host; INT insertion
-    // happens for every link in this fabric, so expect all links.
+    // INT insertion happens at every egress, the host uplink included,
+    // so expect one record per path link.
     let cap = cap.borrow();
     assert!(!cap.stacks.is_empty());
     for (_, stack) in &cap.stacks {

@@ -1,54 +1,21 @@
 //! DQM parameter exploration: how θ (the drain-time budget) and D_t (the
-//! target queueing delay) shape the receiver-side DCI queue.
+//! target queueing delay) shape the receiver-side DCI queue. Each point
+//! is the Fig. 8 convergence scenario (`mlcc_bench::scenarios::convergence`):
+//! 4 cross-DC flows into two shared receivers.
 //!
 //! ```sh
 //! cargo run --release --example dqm_tuning
 //! ```
 
-use mlcc_core::{MlccFactory, MlccParams};
-use netsim::monitor::MonitorSpec;
-use netsim::prelude::*;
+use mlcc_bench::scenarios::convergence::{self, Bottleneck};
+use mlcc_bench::Algo;
+use mlcc_core::MlccParams;
+use netsim::units::MS;
 
-/// Run 4 cross-DC flows into two shared receivers and report the DCI
-/// queue trajectory statistics.
+/// Peak and settled (last fifth of the run) DCI queue, in MB.
 fn run(params: MlccParams) -> (f64, f64) {
-    let topo = TwoDcTopology::build(TwoDcParams {
-        servers_per_leaf: 4,
-        spines_per_dc: 1,
-        ..TwoDcParams::default()
-    });
-    let dci_links = topo.dci_to_spine[1].clone();
-    let cfg = SimConfig {
-        stop_time: 80 * MS,
-        monitor_interval: 100 * US,
-        dci: DciFeatures::mlcc(),
-        ..SimConfig::default()
-    };
-    let srcs = [
-        topo.server(1, 0),
-        topo.server(1, 1),
-        topo.server(2, 0),
-        topo.server(2, 1),
-    ];
-    let dsts = [
-        topo.server(5, 0),
-        topo.server(5, 0),
-        topo.server(5, 1),
-        topo.server(5, 1),
-    ];
-    let mut sim = Simulator::new(topo.net, cfg, Box::new(MlccFactory::new(params)));
-    for i in 0..4 {
-        sim.add_flow(srcs[i], dsts[i], 1 << 32, MS);
-    }
-    sim.set_monitor(MonitorSpec {
-        queues: dci_links,
-        flows: Vec::new(),
-        pfc_switches: Vec::new(),
-        pfq_link: None,
-        fault_links: Vec::new(),
-    });
-    sim.run();
-    let series = sim.out.monitor.queue_sum_series();
+    let r = convergence::run(Algo::Mlcc, Bottleneck::ReceiverSide, true, 80 * MS, params);
+    let series = r.dci_queue;
     let peak = series.iter().map(|x| x.1).max().unwrap_or(0) as f64 / 1e6;
     let tail = {
         let n = series.len();

@@ -1,80 +1,42 @@
 //! A miniature version of the paper's large-scale evaluation: WebSearch
 //! traffic at moderate load through the two-DC fabric, DCQCN vs MLCC,
-//! reporting average and tail FCT per traffic class.
+//! reporting average and tail FCT per traffic class. It runs the Fig. 11
+//! scenario (`mlcc_bench::scenarios::large_scale`) at 40% intra-DC and
+//! 10% cross-DC load over a 15 ms arrival window.
 //!
 //! ```sh
 //! cargo run --release --example fct_sweep
 //! ```
 
-use cc_baselines::DcqcnFactory;
-use mlcc_core::MlccFactory;
-use netsim::cc::CcFactory;
-use netsim::prelude::*;
-use simstats::{FctBreakdown, TextTable};
-use workload::{TrafficClass, TrafficGen, TrafficMix};
+use mlcc_bench::scenarios::large_scale::{self, LargeScaleConfig, LargeScaleResult};
+use mlcc_bench::Algo;
+use netsim::units::MS;
+use simstats::TextTable;
+use workload::TrafficMix;
 
-fn run(factory: Box<dyn CcFactory>, dci: DciFeatures) -> FctBreakdown {
-    let topo = TwoDcTopology::build(TwoDcParams {
-        servers_per_leaf: 2,
-        ..TwoDcParams::default()
-    });
-    let cfg = SimConfig {
-        stop_time: 150 * MS,
-        dci,
-        seed: 42,
-        ..SimConfig::default()
-    };
-    let window = 15 * MS;
-    let mut gen = TrafficGen::new(42, 25 * GBPS);
-    let mut reqs = Vec::new();
-    for dc in 0..2 {
-        let servers = topo.dc_servers(dc);
-        reqs.extend(gen.generate(
-            &TrafficClass {
-                senders: servers.clone(),
-                receivers: servers,
-                load: 0.4,
-                mix: TrafficMix::WebSearch,
-            },
-            0,
-            window,
-        ));
-    }
-    // Cross traffic at 10% of the long-haul capacity, one class per
-    // direction.
-    for (a, b) in [(0usize, 1usize), (1, 0)] {
-        let senders = topo.dc_servers(a);
-        let load = 0.1 * 100.0 / (senders.len() as f64 * 25.0);
-        reqs.extend(gen.generate(
-            &TrafficClass {
-                senders,
-                receivers: topo.dc_servers(b),
-                load,
-                mix: TrafficMix::WebSearch,
-            },
-            0,
-            window,
-        ));
-    }
-    let mut sim = Simulator::new(topo.net, cfg, factory);
-    for r in &reqs {
-        sim.add_flow(r.src, r.dst, r.size_bytes, r.start);
-    }
-    sim.run_until_flows_complete();
+fn run(algo: Algo) -> LargeScaleResult {
+    println!("running {}…", algo.name());
+    let r = large_scale::run(
+        algo,
+        LargeScaleConfig {
+            duration: 15 * MS,
+            drain: 135 * MS,
+            intra_load: 0.4,
+            cross_load: 0.1,
+            seed: 42,
+            ..LargeScaleConfig::heavy(TrafficMix::WebSearch)
+        },
+    );
     println!(
         "  ({} flows, {} completed, {} PFC pauses)",
-        reqs.len(),
-        sim.out.fcts.len(),
-        sim.out.pfc_events.len()
+        r.flows_total, r.flows_completed, r.pfc_pauses
     );
-    FctBreakdown::new(&sim.out.fcts)
+    r
 }
 
 fn main() {
-    println!("running DCQCN…");
-    let dcqcn = run(Box::new(DcqcnFactory::default()), DciFeatures::baseline());
-    println!("running MLCC…");
-    let mlcc = run(Box::new(MlccFactory::default()), DciFeatures::mlcc());
+    let dcqcn = run(Algo::Dcqcn).breakdown;
+    let mlcc = run(Algo::Mlcc).breakdown;
 
     let mut t = TextTable::new(vec![
         "class",
